@@ -58,7 +58,8 @@ from .health import (BLACKBOX_GATED_STAGES, BREAKER_STAGES, BreakerBoard,
                      CircuitBreaker)
 from .integrity import (StoreBudgetExceeded, StoreCorruption,
                         content_checksum)
-from .queue import JOB_STATES, Job, JobQueue, QueueFull
+from .queue import (JOB_STATES, SETTLED, TERMINAL, TRANSITIONS,
+                    IllegalTransition, Job, JobQueue, JobState, QueueFull)
 from .reverdict import ReverdictReport, audit_traces, reverdict_store
 from .scheduler import (DEFAULT_SCAN_CONFIG, NodePartitioned,
                         ScanService, ScanServiceConfig, Submission)
@@ -70,7 +71,8 @@ from .tenants import QuotaExceeded, TenantBook, TenantQuota, UnknownApiKey
 __all__ = [
     "ArtifactStore",
     "StoreCorruption", "StoreBudgetExceeded", "content_checksum",
-    "Job", "JobQueue", "QueueFull", "JOB_STATES",
+    "Job", "JobQueue", "QueueFull", "JOB_STATES", "JobState",
+    "TRANSITIONS", "TERMINAL", "SETTLED", "IllegalTransition",
     "WorkerRecord", "WorkerSupervisor",
     "CircuitBreaker", "BreakerBoard", "BREAKER_STAGES",
     "BLACKBOX_GATED_STAGES",

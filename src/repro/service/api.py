@@ -40,9 +40,11 @@ Endpoints
     provenance.
 
 ``GET /scans/{id}``
-    Job lifecycle doc (``queued | running | done | failed |
-    quarantined | expired``); terminal jobs include the verdict /
-    error.
+    Job lifecycle doc: ``state`` is one of ``queued | running | done
+    | failed | quarantined | expired | deadline_exceeded | stolen``
+    (:class:`~repro.service.queue.JobState`; ``stolen`` means a fleet
+    peer took the job, see ``stolen_by``); terminal jobs include the
+    verdict / error.
 
 ``GET /healthz``
     Readiness + health: ``status`` is ``ok`` (accepting, breakers
@@ -271,8 +273,7 @@ class ServiceApi:
         job_doc["outcome"] = submission.outcome
         if tenant is not None:
             job_doc["tenant"] = tenant
-        if submission.cached or submission.outcome in (
-                "replayed", "deadline_exceeded"):
+        if submission.outcome not in ("queued", "coalesced"):
             # Terminal at admission: a dedup hit or brownout replay
             # already carries the verdict; an expired deadline carries
             # its typed terminal doc — nothing is pending either way.
@@ -390,7 +391,7 @@ class ServiceApi:
 
     def _job_doc(self, job) -> dict:
         doc = job.to_doc()
-        if job.config.get("kind") == "reverdict":
+        if job.reverdict:
             # Re-verdict jobs carry a sweep report, not a campaign
             # result doc; there is no per-tool verdict to decode.
             if job.result_doc is not None:

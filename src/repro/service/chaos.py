@@ -58,6 +58,7 @@ from .client import ServiceClient, ServiceError
 from .fleet import FleetConfig, ScanFleet
 from .health import pressure_rank
 from .overload import SHED_KINDS
+from .queue import TERMINAL
 from .scheduler import NodePartitioned, ScanService, ScanServiceConfig
 from .server import make_server
 from .tenants import QuotaExceeded, TenantBook, UnknownApiKey
@@ -181,8 +182,7 @@ class _Drill:
         doc = self.client.submit(data, abi, client=client_name)
         job_id = doc["id"]
         self.job_ids.append(job_id)
-        if doc.get("state") not in ("done", "failed", "quarantined",
-                                    "expired"):
+        if doc.get("state") not in TERMINAL:
             doc = self.client.wait(job_id, timeout_s=_WAIT_S,
                                    poll_s=0.02)
         _expect(doc.get("state") == expect_state,

@@ -51,6 +51,8 @@ import urllib.error
 import urllib.request
 import zlib
 
+from .queue import TERMINAL
+
 __all__ = ["ServiceClient", "ServiceError"]
 
 # Connection-level failures worth retrying: the daemon is restarting,
@@ -326,9 +328,7 @@ class ServiceClient:
             doc["oracles"] = (oracles if isinstance(oracles, str)
                               else list(oracles))
         job_doc = self._checked("POST", "/reverdict", doc)
-        if wait and job_doc.get("state") not in (
-                "done", "failed", "quarantined", "expired",
-                "deadline_exceeded"):
+        if wait and job_doc.get("state") not in TERMINAL:
             return self.wait(job_doc["id"], timeout_s)
         return job_doc
 
@@ -338,9 +338,7 @@ class ServiceClient:
         deadline = time.monotonic() + timeout_s
         while True:
             doc = self.status(job_id)
-            if doc.get("state") in ("done", "failed", "quarantined",
-                                    "expired", "deadline_exceeded",
-                                    "rejected", "stolen"):
+            if doc.get("state") in TERMINAL:
                 return doc
             if time.monotonic() >= deadline:
                 raise TimeoutError(

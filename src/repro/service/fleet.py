@@ -52,13 +52,11 @@ from dataclasses import dataclass, field
 
 from .backend import (BackendUnavailable, CoordinatorBackend, HashRing,
                       module_hash_of)
+from .queue import SETTLED
 from .scheduler import NodePartitioned
 from .tenants import TenantBook
 
 __all__ = ["FleetConfig", "FleetJob", "ScanFleet"]
-
-_TERMINAL = ("done", "failed", "quarantined", "expired",
-             "deadline_exceeded", "rejected")
 
 
 @dataclass
@@ -181,7 +179,7 @@ class ScanFleet:
                 record = FleetJob(fleet_id, name,
                                   str(doc.get("id")),
                                   recipe=recipe)
-                if doc.get("state") in _TERMINAL:
+                if doc.get("state") in SETTLED:
                     record.terminal_doc = self._decorate(doc, record)
                 self._jobs[fleet_id] = record
                 self._by_node[(name, record.node_job_id)] = fleet_id
@@ -222,7 +220,7 @@ class ScanFleet:
                 continue        # fail_node remapped the record
             if doc is None:
                 return None
-            if doc.get("state") in _TERMINAL:
+            if doc.get("state") in SETTLED:
                 with self._lock:
                     record.terminal_doc = self._decorate(doc, record)
                     return dict(record.terminal_doc)
@@ -234,7 +232,7 @@ class ScanFleet:
         deadline = time.monotonic() + timeout_s
         while True:
             doc = self.job(fleet_id)
-            if doc is not None and doc.get("state") in _TERMINAL:
+            if doc is not None and doc.get("state") in SETTLED:
                 return doc
             if time.monotonic() >= deadline:
                 state = doc.get("state") if doc else "unknown"
@@ -306,7 +304,7 @@ class ScanFleet:
                     record.stolen += 1
                 else:
                     record.failovers += 1
-                if doc.get("state") in _TERMINAL:
+                if doc.get("state") in SETTLED:
                     record.terminal_doc = self._decorate(doc, record)
                 self._by_node[(new_node, record.node_job_id)] = fleet_id
         return 1

@@ -34,10 +34,11 @@ public :meth:`JobQueue.sweep_expired` so an idle queue — no worker
 polling, daemon quiescent — still expires jobs promptly instead of
 discovering staleness only when demand returns.
 
-Job lifecycle: ``queued → running → done | failed | quarantined |
-expired | deadline_exceeded`` (plus terminal ``rejected`` for jobs
-shed at admission).  The :class:`Job` record itself is the single
-source of truth the HTTP layer renders for ``GET /scans/{id}``.
+Job lifecycle is data: :class:`JobState` names the states,
+:data:`TRANSITIONS` the allowed edges (the scan service applies them;
+the queue never changes a state).  A ``stolen`` job lives on at its
+thief, so fleet waiters stop on :data:`SETTLED`, not :data:`TERMINAL`.
+The :class:`Job` record is what ``GET /scans/{id}`` renders.
 """
 
 from __future__ import annotations
@@ -46,12 +47,53 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from enum import Enum
 from typing import Any, Callable
 
-__all__ = ["Job", "JobQueue", "QueueFull", "JOB_STATES"]
+__all__ = ["Job", "JobQueue", "QueueFull", "JobState", "JOB_STATES",
+           "TRANSITIONS", "TERMINAL", "SETTLED", "IllegalTransition"]
 
-JOB_STATES = ("queued", "running", "done", "failed", "quarantined",
-              "expired", "deadline_exceeded", "rejected", "stolen")
+
+class JobState(str, Enum):
+    """A job's lifecycle state.  ``str``-valued, so JSON docs and
+    comparisons against plain strings are unchanged."""
+
+    NEW = "new"
+    QUEUED = "queued"
+    RUNNING = "running"
+    DONE = "done"
+    FAILED = "failed"
+    QUARANTINED = "quarantined"
+    EXPIRED = "expired"
+    DEADLINE_EXCEEDED = "deadline_exceeded"
+    STOLEN = "stolen"
+
+    # str() and f-strings render the bare value on every Python
+    # version (3.12 changed the mixed-in Enum default).
+    def __str__(self) -> str:
+        return self.value
+
+    __format__ = str.__format__
+
+
+JOB_STATES = tuple(JobState)
+
+TRANSITIONS: "dict[JobState, frozenset[JobState]]" = {
+    JobState(source): frozenset(map(JobState, targets.split()))
+    for source, targets in {
+        "new": "queued done deadline_exceeded",
+        "queued": "running expired deadline_exceeded stolen failed",
+        "running": "done queued failed quarantined deadline_exceeded",
+    }.items()}
+
+TERMINAL = frozenset(state for state in JobState
+                     if state not in TRANSITIONS)
+# A stolen job is terminal here but resolves at its thief.
+SETTLED = TERMINAL - {JobState.STOLEN}
+
+
+class IllegalTransition(ValueError):
+    """An edge outside :data:`TRANSITIONS` was attempted."""
 
 
 class QueueFull(Exception):
@@ -86,7 +128,7 @@ class Job:
     config: dict
     task: Any = None          # CampaignTask; None once terminal
     priority: int = 0
-    state: str = "queued"
+    state: JobState = JobState.NEW
     submitted_s: float = 0.0
     started_s: float | None = None
     finished_s: float | None = None
@@ -105,9 +147,13 @@ class Job:
 
     @property
     def terminal(self) -> bool:
-        return self.state in ("done", "failed", "quarantined",
-                              "expired", "deadline_exceeded",
-                              "rejected", "stolen")
+        return self.state in TERMINAL
+
+    @property
+    def reverdict(self) -> bool:
+        """A queued re-verdict sweep: it replays this node's own
+        store, so it is never work-stolen."""
+        return self.config.get("kind") == "reverdict"
 
     def deadline_remaining_s(self,
                              now_epoch_s: float | None = None) -> float:
@@ -122,7 +168,7 @@ class Job:
         doc = {
             "id": self.job_id,
             "client": self.client,
-            "state": self.state,
+            "state": str(self.state),
             "outcome": self.outcome,
             "scan_key": self.scan_key,
             "module_hash": self.module_hash,
@@ -169,7 +215,6 @@ class JobQueue:
         self.expired = 0
         self.deadline_expired = 0
         self.promoted = 0
-        self.stolen = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -213,12 +258,7 @@ class JobQueue:
                     break
                 if not self._ready.wait(timeout=timeout):
                     break
-        # Callbacks run outside the queue lock: the service finalizes
-        # expired jobs under its own lock, and lock order everywhere
-        # else is service -> queue.
-        if self.on_expired is not None:
-            for stale in expired:
-                self.on_expired(stale)
+        self._report_stale(expired)
         return job
 
     def sweep_expired(self) -> int:
@@ -230,10 +270,16 @@ class JobQueue:
         expired: list[Job] = []
         with self._lock:
             self._sweep_expired_locked(expired)
+        self._report_stale(expired)
+        return len(expired)
+
+    def _report_stale(self, expired: list[Job]) -> None:
+        # Callbacks run outside the queue lock: the service finalizes
+        # expired jobs under its own lock, and lock order everywhere
+        # else is service -> queue.
         if self.on_expired is not None:
             for stale in expired:
                 self.on_expired(stale)
-        return len(expired)
 
     # -- internals (lock held) ---------------------------------------------
     def _sweep_expired_locked(self, out: list[Job]) -> None:
@@ -332,7 +378,7 @@ class JobQueue:
                     jobs = band[client]
                     remaining: deque[Job] = deque()
                     for job in reversed(jobs):
-                        if len(out) < max_jobs \
+                        if len(out) < max_jobs and not job.reverdict \
                                 and job.deadline_remaining_s(wall_now) \
                                 >= min_headroom_s:
                             out.append(job)
@@ -349,7 +395,6 @@ class JobQueue:
                 if len(out) >= max_jobs:
                     break
             self._depth -= len(out)
-            self.stolen += len(out)
         return out
 
     def drain(self) -> list[Job]:

@@ -10,7 +10,11 @@ travels::
           -> store hit?        -> cached verdict, no job runs
           -> in-flight twin?   -> coalesce onto the running job
           -> admission bounds  -> typed QueueFull shed
-          -> queued -> running -> done | failed | quarantined | expired
+          -> queued -> running -> done | failed | quarantined, or
+             expired | deadline_exceeded | stolen while queued
+
+Every state change is one edge of ``queue.TRANSITIONS``, applied by
+:meth:`ScanService.transition`.
 
 Dedup levels:
 
@@ -36,9 +40,11 @@ Self-healing (this PR's tentpole) has four pillars:
   counts consecutive per-stage failures across jobs.  While a breaker
   on a degradable stage (symbolic replay, solver) is open, new jobs
   are forced into black-box-only scanning; one probe job per half-open
-  window runs the full pipeline to test recovery.  Forced-black-box
-  verdicts are *not* persisted: the store must never serve a weaker
-  verdict for a scan key that promises the full pipeline.
+  window runs the full pipeline to test recovery (pressure is weighed
+  first, so the probe never goes to a browned-out black-box run).
+  Forced-black-box verdicts are *not* persisted: the store must never
+  serve a weaker verdict for a scan key that promises the full
+  pipeline.
 * **storage integrity** — every store access routes through a healing
   wrapper: a typed :class:`StoreCorruption` (checksum mismatch or a
   malformed SQLite image) quarantines the corrupt database file aside
@@ -68,8 +74,10 @@ import os
 import threading
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ..eosio.abi import Abi
 from ..metrics import ThroughputStats
@@ -83,7 +91,8 @@ from .health import (BLACKBOX_GATED_STAGES, BREAKER_STAGES,
                      BreakerBoard)
 from .integrity import StoreBudgetExceeded, StoreCorruption
 from .overload import OverloadController
-from .queue import Job, JobQueue, QueueFull
+from .queue import (TERMINAL, TRANSITIONS, IllegalTransition, Job,
+                    JobQueue, JobState, QueueFull)
 from .store import ArtifactStore
 from .supervisor import WorkerRecord, WorkerSupervisor
 
@@ -161,6 +170,14 @@ class ScanServiceConfig:
         return self.max_depth + self.workers
 
 
+class Degradation(NamedTuple):
+    """How one dispatch runs its campaign, decided once at dispatch."""
+
+    timeout_scale: float   # fuzz-budget multiplier
+    blackbox: bool         # skip the symbolic side
+    cacheable: bool        # full pipeline at full budget: may be stored
+
+
 @dataclass
 class Submission:
     """What admission hands back: the job plus how it was satisfied."""
@@ -170,10 +187,6 @@ class Submission:
     # replay-serve from a stored trace pack) | "deadline_exceeded"
     # (the caller's deadline had already passed at admission)
     outcome: str
-
-    @property
-    def cached(self) -> bool:
-        return self.outcome == "cached"
 
 
 class ScanService:
@@ -196,7 +209,7 @@ class ScanService:
         self.ingest_budget = ingest_budget
         self.queue = JobQueue(max_depth=self.config.max_depth,
                               promote_after_s=self.config.promote_after_s,
-                              on_expired=self._job_expired)
+                              on_expired=self._on_stale)
         self.quarantine = Quarantine(self.policy.quarantine_after)
         self.breakers = BreakerBoard(
             threshold=self.config.breaker_threshold,
@@ -224,11 +237,8 @@ class ScanService:
         self._cache_hits = 0
         self._coalesce_hits = 0
         self._admission_rejected = 0
-        self._completed = 0
-        self._failed = 0
-        self._quarantined = 0
-        self._expired = 0
-        self._deadline_exceeded = 0
+        # (from, to) -> count: every /stats lifecycle counter.
+        self._edges: Counter = Counter()
         self._replay_served = 0       # brownout replay-serve hits
         self._browned_out = 0         # jobs run with a shrunk budget
         self._forced_blackbox = 0
@@ -300,16 +310,13 @@ class ScanService:
         checkpointed = 0
         now = time.time()
         for job in self.queue.drain():
-            if job.terminal:
-                continue
             if job.deadline_remaining_s(now) <= 0.0:
                 # Checkpointing this job would resurrect work whose
                 # caller deadline already passed: finalize the typed
                 # terminal doc instead, so resume cannot re-run it.
-                with self._lock:
-                    if not job.terminal:
-                        self._deadline_locked(
-                            job, "caller deadline passed during drain")
+                self.transition(
+                    job, JobState.DEADLINE_EXCEEDED,
+                    error="caller deadline passed during drain")
                 continue
             if self._checkpoint(job):
                 checkpointed += 1
@@ -493,20 +500,7 @@ class ScanService:
         still served — they cost nothing), and a live one rides the
         job end-to-end so every later hand-off re-checks it.
         """
-        with self._lock:
-            if self._partitioned:
-                raise NodePartitioned(
-                    "node is on the minority side of a network "
-                    f"partition ({self._partition_reason or 'unknown'});"
-                    " writes refused until the partition heals")
-            if not self._accepting:
-                self.perf.record_shed("draining")
-                raise QueueFull("service is draining",
-                                depth=self.queue.depth,
-                                limit=self.config.max_depth,
-                                kind="draining",
-                                retry_after_s=self._retry_after(
-                                    floor=30.0))
+        self._admission_gate()
         # Sandboxed ingestion *before* admission: a hostile module is
         # rejected here with a typed MalformedModule diagnostic.
         try:
@@ -552,13 +546,16 @@ class ScanService:
                                                        data))
         except StoreBudgetExceeded as exc:
             with self._lock:
-                self.queue.shed += 1
-                self.perf.record_shed("disk")
-            raise QueueFull(
-                f"store disk budget exhausted: {exc}",
-                depth=self.queue.depth, limit=self.config.max_depth,
-                kind="disk",
-                retry_after_s=self._retry_after(floor=5.0)) from exc
+                raise self._shed("disk",
+                                 f"store disk budget exhausted: {exc}",
+                                 limit=self.config.max_depth,
+                                 floor=5.0) from exc
+
+        def new_job(**fields) -> Job:
+            return Job(job_id=uuid.uuid4().hex[:12], client=client,
+                       scan_key=scan_key, module_hash=module_hash,
+                       config=stored_config, priority=priority,
+                       submitted_s=time.time(), **fields)
 
         with self._lock:
             self._submissions += 1
@@ -567,15 +564,8 @@ class ScanService:
                 lambda: self.store.get_verdict(scan_key))
             if result_doc is not None:
                 self._cache_hits += 1
-                job = Job(job_id=uuid.uuid4().hex[:12], client=client,
-                          scan_key=scan_key, module_hash=module_hash,
-                          config=stored_config, priority=priority,
-                          state="done", outcome="cached",
-                          submitted_s=time.time(),
-                          result_doc=result_doc)
-                job.finished_s = job.submitted_s
-                self._jobs[job.job_id] = job
-                return Submission(job, "cached")
+                return self._admit(new_job(), JobState.DONE, "cached",
+                                   result_doc=result_doc)
             # Level 2: single-flight — attach to the live twin.
             twin = self._inflight.get(scan_key)
             if twin is not None and not twin.terminal:
@@ -586,22 +576,12 @@ class ScanService:
             # must never be spent on an answer nobody is waiting for.
             # Terminal typed doc, not a 429 — there is nothing to
             # retry, the caller's own clock ran out.
-            now = time.time()
-            if deadline_epoch_s is not None and now >= deadline_epoch_s:
-                self.perf.record_shed("deadline")
-                self._deadline_exceeded += 1
-                job = Job(job_id=uuid.uuid4().hex[:12], client=client,
-                          scan_key=scan_key, module_hash=module_hash,
-                          config=stored_config, priority=priority,
-                          state="deadline_exceeded",
-                          outcome="deadline_exceeded",
-                          submitted_s=now,
-                          deadline_epoch_s=deadline_epoch_s,
-                          error="caller deadline passed before "
-                                "admission")
-                job.finished_s = now
-                self._jobs[job.job_id] = job
-                return Submission(job, "deadline_exceeded")
+            if deadline_epoch_s is not None \
+                    and time.time() >= deadline_epoch_s:
+                return self._admit(
+                    new_job(deadline_epoch_s=deadline_epoch_s),
+                    JobState.DEADLINE_EXCEEDED, "deadline_exceeded",
+                    error="caller deadline passed before admission")
             # Brownout ladder: under saturation, a stored trace pack
             # can answer by pure oracle replay — zero fuzzing — before
             # we consider refusing outright.
@@ -610,76 +590,86 @@ class ScanService:
                 replay_doc = self._serve_from_replay_locked(scan_key)
                 if replay_doc is not None:
                     self._replay_served += 1
-                    job = Job(job_id=uuid.uuid4().hex[:12],
-                              client=client, scan_key=scan_key,
-                              module_hash=module_hash,
-                              config=stored_config, priority=priority,
-                              state="done", outcome="replayed",
-                              submitted_s=now,
-                              deadline_epoch_s=deadline_epoch_s,
-                              result_doc=replay_doc)
-                    job.finished_s = now
-                    self._jobs[job.job_id] = job
-                    return Submission(job, "replayed")
+                    return self._admit(
+                        new_job(deadline_epoch_s=deadline_epoch_s),
+                        JobState.DONE, "replayed", result_doc=replay_doc)
             if level == "shedding":
-                self.queue.shed += 1
-                self.perf.record_shed("brownout")
-                raise QueueFull(
-                    "brownout: pressure level 'shedding' — new "
-                    "campaigns refused until the backlog drains",
-                    depth=self.queue.depth,
-                    limit=self.overload.effective_depth(),
-                    kind="brownout",
-                    retry_after_s=self._retry_after())
+                raise self._shed(
+                    "brownout", "brownout: pressure level 'shedding' — "
+                    "new campaigns refused until the backlog drains",
+                    limit=self.overload.effective_depth())
             cost = OverloadController.admission_cost(
                 len(data), len(stored_config["oracles"] or ()) or 5)
             if self.overload.should_shed_cost(cost, priority):
-                self.queue.shed += 1
-                self.perf.record_shed("brownout")
-                raise QueueFull(
+                raise self._shed(
+                    "brownout",
                     f"brownout: campaign cost {cost:.1f} exceeds the "
                     f"priority-{priority} allowance at pressure level "
-                    f"'{level}'",
-                    depth=self.queue.depth,
-                    limit=self.overload.effective_depth(),
-                    kind="brownout",
-                    retry_after_s=self._retry_after())
+                    f"'{level}'", limit=self.overload.effective_depth())
             # Admission control: adaptive in-flight budget + adaptive
             # queue depth (both AIMD-sized; never above the static
             # bounds, which remain the hard backstop).
             inflight = self.queue.depth + len(self._running_jobs)
             budget = self.overload.effective_inflight()
             if inflight >= budget:
-                self.queue.shed += 1
-                self.perf.record_shed("inflight")
-                raise QueueFull(
-                    f"in-flight budget {budget} "
-                    f"exhausted ({inflight} admitted)",
-                    depth=inflight,
-                    limit=budget,
-                    kind="inflight",
-                    retry_after_s=self._retry_after())
+                raise self._shed(
+                    "inflight", f"in-flight budget {budget} exhausted "
+                    f"({inflight} admitted)", depth=inflight, limit=budget)
             depth_bound = self.overload.effective_depth()
             if self.queue.depth >= depth_bound:
-                self.queue.shed += 1
-                self.perf.record_shed("queue")
-                raise QueueFull(
-                    f"queue depth {self.queue.depth} at effective "
-                    f"bound {depth_bound} (pressure '{level}')",
-                    depth=self.queue.depth, limit=depth_bound,
-                    kind="queue",
-                    retry_after_s=self._retry_after())
-            job = Job(job_id=uuid.uuid4().hex[:12], client=client,
-                      scan_key=scan_key, module_hash=module_hash,
-                      config=stored_config, task=task,
-                      priority=priority, submitted_s=now,
-                      ttl_s=(ttl_s if ttl_s is not None
-                             else self.config.job_ttl_s),
-                      deadline_epoch_s=deadline_epoch_s)
-            self.queue.put(job)          # may raise QueueFull (typed)
-            self._jobs[job.job_id] = job
-            self._inflight[scan_key] = job
-        return Submission(job, "queued")
+                raise self._shed(
+                    "queue", f"queue depth {self.queue.depth} at "
+                    f"effective bound {depth_bound} (pressure '{level}')",
+                    limit=depth_bound)
+            return self._admit(
+                new_job(task=task,
+                        ttl_s=(ttl_s if ttl_s is not None
+                               else self.config.job_ttl_s),
+                        deadline_epoch_s=deadline_epoch_s),
+                JobState.QUEUED, "queued")
+
+    def _admission_gate(self) -> None:
+        """Refuse every write (scan or re-verdict) while partitioned
+        or draining."""
+        with self._lock:
+            if self._partitioned:
+                raise NodePartitioned(
+                    "node is on the minority side of a network "
+                    f"partition ({self._partition_reason or 'unknown'});"
+                    " writes refused until the partition heals")
+            if not self._accepting:
+                self.perf.record_shed("draining")
+                raise QueueFull("service is draining",
+                                depth=self.queue.depth,
+                                limit=self.config.max_depth,
+                                kind="draining",
+                                retry_after_s=self._retry_after(
+                                    floor=30.0))
+
+    def _shed(self, kind: str, message: str, *, limit: int,
+              depth: "int | None" = None,
+              floor: float = 0.0) -> QueueFull:
+        """Count one typed admission shed and build its 429 (service
+        lock held)."""
+        self.queue.shed += 1
+        self.perf.record_shed(kind)
+        return QueueFull(message,
+                         depth=self.queue.depth if depth is None else depth,
+                         limit=limit, kind=kind,
+                         retry_after_s=self._retry_after(floor))
+
+    def _admit(self, job: Job, to: JobState, outcome: str,
+               **effects) -> Submission:
+        """Register a new job and take its first edge (service lock
+        held).  A queued job enters the queue first, so a typed
+        :class:`QueueFull` leaves nothing behind."""
+        if to is JobState.QUEUED:
+            self.queue.put(job)
+        self.transition(job, to, outcome=outcome, **effects)
+        self._jobs[job.job_id] = job
+        if to is JobState.QUEUED:
+            self._inflight[job.scan_key] = job
+        return Submission(job, outcome)
 
     def _serve_from_replay_locked(self, scan_key: str) -> "dict | None":
         """Brownout replay-serve: when a stored trace pack exists for
@@ -730,17 +720,8 @@ class ScanService:
         ``source: "replay"`` provenance.  Runs under the same worker
         supervision, claim protocol and admission gates as scan jobs.
         """
+        self._admission_gate()
         with self._lock:
-            if self._partitioned:
-                raise NodePartitioned(
-                    "node is on the minority side of a network "
-                    f"partition ({self._partition_reason or 'unknown'});"
-                    " writes refused until the partition heals")
-            if not self._accepting:
-                raise QueueFull("service is draining",
-                                depth=self.queue.depth,
-                                limit=self.config.max_depth,
-                                kind="draining", retry_after_s=30.0)
             self._submissions += 1
             job_id = uuid.uuid4().hex[:12]
             job = Job(job_id=job_id, client=client,
@@ -750,10 +731,7 @@ class ScanService:
                               "oracles": (oracles if oracles is not None
                                           else self.config.oracles)},
                       priority=priority, submitted_s=time.time())
-            self.queue.put(job)          # may raise QueueFull (typed)
-            self._jobs[job.job_id] = job
-            self._inflight[job.scan_key] = job
-        return Submission(job, "queued")
+            return self._admit(job, JobState.QUEUED, "queued")
 
     # -- workers -----------------------------------------------------------
     def _worker_main(self, record: WorkerRecord) -> None:
@@ -777,72 +755,71 @@ class ScanService:
                 if self._draining or record.abandoned:
                     self.queue.put(job, force=True)  # back for drain
                     return
-                if job.deadline_remaining_s() <= 0.0 \
-                        and not job.terminal:
+                if job.deadline_remaining_s() <= 0.0:
                     # Expired while queued (the sweep may not have
                     # seen it yet): terminal typed doc, no claim, no
                     # campaign budget spent.
-                    self._deadline_locked(
-                        job, "caller deadline passed while queued")
+                    self._on_stale(job)
                     continue
                 record.claim_job(job)
-                job.claim = record.token
-                job.state = "running"
-                job.started_s = time.time()
-                self._running_jobs.add(job.job_id)
-                # Breaker gate: while a degradable-stage breaker is
-                # open, this job runs black-box-only (one probe per
-                # half-open window runs the full pipeline instead).
-                forced = self.breakers.force_blackbox()
-                if job.task is not None:
-                    job.task.blackbox = forced
-                if forced:
-                    self._forced_blackbox += 1
-                # Brownout ladder: under pressure, shrink the fuzzing
-                # budget (elevated: x0.5, saturated+: x0.25 and force
-                # black-box — PR 5's degraded labeling applies).  The
-                # base budget is restored from the stored config each
-                # dispatch so a watchdog re-queue under *recovered*
-                # pressure runs at full size again.
-                level = self.overload.pressure
-                job.brownout = None
-                if job.task is not None:
-                    job.task.timeout_ms = float(
-                        job.config.get("timeout_ms",
-                                       job.task.timeout_ms))
-                    if level != "normal":
-                        job.brownout = level
-                        self._browned_out += 1
-                        job.task.timeout_ms *= \
-                            self.overload.timeout_scale()
-                        if level in ("saturated", "shedding"):
-                            job.task.blackbox = True
+                self.transition(job, JobState.RUNNING,
+                                claim=record.token)
+                degrade = None if job.reverdict else self._degrade(job)
             # The chaos chokepoint sits AFTER the claim on purpose: an
             # injected kill/hang leaves a claimed job behind, which is
             # exactly the mess the watchdog must be able to heal.
             inject("worker")
-            self._run_job(job, record.token)
+            if job.reverdict:
+                self._run_reverdict_job(job, record.token)
+            else:
+                self._run_job(job, record.token, degrade)
             record.release_job()
 
-    def _run_job(self, job: Job, token: str) -> None:
-        if job.config.get("kind") == "reverdict":
-            self._run_reverdict_job(job, token)
-            return
+    def _degrade(self, job: Job) -> Degradation:
+        """The one degradation decision for a scan job, made at
+        dispatch (service lock held) and applied to its task.
+
+        Pressure comes first.  ``elevated`` shrinks the fuzz budget;
+        ``saturated``+ also runs black-box-only and never consults the
+        breakers, so a half-open probe slot is only ever handed to a
+        job that will run the full pipeline.  Below that, an open
+        ``symback``/``solve`` breaker forces black-box (one probe per
+        half-open window is let through).  Only a full-pipeline run at
+        full budget is cacheable."""
+        level = self.overload.pressure
+        job.brownout = None if level == "normal" else level
+        if job.brownout is not None:
+            self._browned_out += 1
+        scale = self.overload.timeout_scale()
+        if level in ("saturated", "shedding"):
+            degrade = Degradation(scale, blackbox=True, cacheable=False)
+        else:
+            forced = self.breakers.force_blackbox()
+            self._forced_blackbox += int(forced)
+            degrade = Degradation(
+                scale, blackbox=forced,
+                cacheable=not forced and job.brownout is None)
+        # The base budget comes from the stored config each dispatch,
+        # so a re-queue under recovered pressure runs at full size.
+        job.task.blackbox = degrade.blackbox
+        job.task.timeout_ms = float(job.config.get(
+            "timeout_ms", job.task.timeout_ms)) * degrade.timeout_scale
+        return degrade
+
+    def _run_job(self, job: Job, token: str,
+                 degrade: Degradation) -> None:
         tool = job.config["tool"]
-        forced_blackbox = bool(job.task is not None
-                               and job.task.blackbox)
         try:
             result = run_campaign_task(job.task)
         except WorkerKill:
             raise  # real worker death: the watchdog heals it
         except BaseException as exc:  # noqa: BLE001 - thread must survive
-            self._job_failed(job, token,
-                             f"{type(exc).__name__}: {exc}")
+            self._fail(job, f"{type(exc).__name__}: {exc}", token)
             return
         with self._lock:
             self._record_stage_outcomes(
                 result, completed=tool in result.scans,
-                forced_blackbox=forced_blackbox)
+                blackbox=degrade.blackbox)
         doc_error = result.errors.get(tool)
         if tool not in result.scans:
             if (doc_error or {}).get("stage") == "deadline":
@@ -850,13 +827,13 @@ class ScanService:
                 # (or before the tool started): terminal typed doc,
                 # never the retry/quarantine path — there is nothing
                 # to heal and nobody left waiting.
-                self._job_deadline(
-                    job, token,
-                    (doc_error or {}).get("message",
-                                          "caller deadline passed"))
+                self.transition(
+                    job, JobState.DEADLINE_EXCEEDED, token=token,
+                    error=(doc_error or {}).get(
+                        "message", "caller deadline passed"))
                 return
             message = (doc_error or {}).get("message", "campaign failed")
-            self._job_failed(job, token, message)
+            self._fail(job, message, token)
             return
         from ..resilience.journal import campaign_result_to_doc
         result_doc = campaign_result_to_doc(result)
@@ -872,15 +849,13 @@ class ScanService:
             provenance["pressure"] = job.brownout
             result_doc["provenance"] = provenance
         with self._lock:
-            if job.claim != token or job.terminal:
+            if not self._owns(job, token):
                 return  # claim revoked: the requeued twin owns the job
-        # A browned-out run (shrunk budget and/or forced black-box) is
-        # ephemeral exactly like a breaker-forced one: it answers this
-        # caller but must never become the cached verdict for the key.
-        if not forced_blackbox and job.brownout is None:
-            # Persist (and journal, for store rebuilds) only full-
-            # pipeline verdicts: a breaker-degraded result must never
-            # become the cached answer for this scan key.
+        # Persist (and journal, for store rebuilds) only full-pipeline,
+        # full-budget verdicts: a breaker-forced or browned-out result
+        # answers this caller but must never become the cached verdict
+        # for the key.
+        if degrade.cacheable:
             try:
                 self._healed(lambda: self.store.put_verdict(
                     job.scan_key, job.module_hash, job.config,
@@ -906,20 +881,10 @@ class ScanService:
             except OSError:
                 pass  # journal write failed; store still has it
         with self._lock:
-            if job.claim != token or job.terminal:
+            if not self.transition(job, JobState.DONE, token=token,
+                                   result_doc=result_doc):
                 return
-            job.claim = None
-            self._running_jobs.discard(job.job_id)
-            job.result_doc = result_doc
-            job.state = "done"
-            job.finished_s = time.time()
-            self._completed += 1
-            self._inflight.pop(job.scan_key, None)
             self._record_latency(job, result)
-            self.overload.observe_completion()
-            if job.started_s:
-                self.overload.observe_latency(
-                    job.finished_s - job.started_s)
 
     def _run_reverdict_job(self, job: Job, token: str) -> None:
         """Worker-side execution of one queued re-verdict sweep."""
@@ -930,19 +895,10 @@ class ScanService:
         except WorkerKill:
             raise  # real worker death: the watchdog heals it
         except BaseException as exc:  # noqa: BLE001 - thread must survive
-            self._job_failed(job, token,
-                             f"{type(exc).__name__}: {exc}")
+            self._fail(job, f"{type(exc).__name__}: {exc}", token)
             return
-        with self._lock:
-            if job.claim != token or job.terminal:
-                return  # claim revoked: the requeued twin owns the job
-            job.claim = None
-            self._running_jobs.discard(job.job_id)
-            job.result_doc = report.to_doc()
-            job.state = "done"
-            job.finished_s = time.time()
-            self._completed += 1
-            self._inflight.pop(job.scan_key, None)
+        self.transition(job, JobState.DONE, token=token,
+                        result_doc=report.to_doc())
 
     # -- trace IR: re-verdict + drift audit ---------------------------------
     def reverdict(self, oracle_version: int | None = None,
@@ -1041,70 +997,86 @@ class ScanService:
         """Measured Retry-After hint for a shed at current backlog."""
         return max(floor, self.overload.retry_after_s(self.queue.depth))
 
-    def _job_failed(self, job: Job, token: "str | None",
-                    message: str) -> None:
+    def transition(self, job: Job, to: "JobState | str", *,
+                   token: "str | None" = None,
+                   claim: "str | None" = None,
+                   outcome: "str | None" = None,
+                   error: "str | None" = None,
+                   result_doc: "dict | None" = None) -> bool:
+        """Apply one lifecycle edge: the only place a job's state
+        changes.  With ``token`` the edge is claim-checked, and a
+        revoked claim (a zombie worker's late result) is a no-op that
+        returns False.  An edge outside ``TRANSITIONS`` raises
+        :class:`IllegalTransition`.  ``claim`` is the new owner (worker
+        on ``running``, thief on ``stolen``); other edges clear it."""
+        to = JobState(to)
         with self._lock:
-            if token is not None and (job.claim != token
-                                      or job.terminal):
+            if token is not None and not self._owns(job, token):
+                return False
+            source = job.state
+            if to not in TRANSITIONS.get(source, ()):
+                raise IllegalTransition(
+                    f"job {job.job_id}: {source} -> {to} is not a "
+                    "lifecycle edge")
+            now = time.time()
+            job.state = to
+            job.claim = claim
+            if to in (JobState.DEADLINE_EXCEEDED, JobState.STOLEN):
+                outcome = to.value
+            if outcome is not None:
+                job.outcome = outcome
+            if error is not None:
+                job.error = error
+            if result_doc is not None:
+                job.result_doc = result_doc
+            if to is JobState.RUNNING:
+                job.started_s = now
+                self._running_jobs.add(job.job_id)
+            else:
+                self._running_jobs.discard(job.job_id)
+            if to in TERMINAL:
+                job.finished_s = now
+                if self._inflight.get(job.scan_key) is job:
+                    del self._inflight[job.scan_key]
+                if source is not JobState.NEW:  # was backlog
+                    self.overload.observe_completion()
+            if to is JobState.DEADLINE_EXCEEDED:
+                self.perf.record_shed("deadline")
+            self._edges[source, to] += 1
+            return True
+
+    def _fail(self, job: Job, message: str,
+              token: "str | None" = None) -> None:
+        """Retry-or-quarantine one failed running attempt.  Deadline
+        cuts never come here: they are the *caller's* clock, not the
+        sample, so they take the typed terminal edge directly."""
+        with self._lock:
+            if token is not None and not self._owns(job, token):
                 return  # claim revoked: failure already handled
-            job.claim = None
-            self._running_jobs.discard(job.job_id)
-            self._fail_locked(job, message)
+            job.attempts += 1
+            job.error = message
+            self.quarantine.record_failure(job.scan_key, message)
+            if self.quarantine.is_quarantined(job.scan_key):
+                self.transition(job, JobState.QUARANTINED)
+                try:
+                    self._healed(lambda: self.store.put_quarantine(
+                        job.scan_key, job.module_hash,
+                        self.quarantine.quarantined().get(job.scan_key,
+                                                          [])))
+                except StoreBudgetExceeded:
+                    pass
+            elif job.attempts <= self.policy.max_retries \
+                    and not self._draining:
+                self.transition(job, JobState.QUEUED)
+                self.queue.put(job, force=True)  # containment re-queue
+            else:
+                self.transition(job, JobState.FAILED)
 
-    def _job_deadline(self, job: Job, token: "str | None",
-                      message: str) -> None:
-        """Claim-checked wrapper around :meth:`_deadline_locked`."""
-        with self._lock:
-            if token is not None and (job.claim != token
-                                      or job.terminal):
-                return  # claim revoked: outcome already settled
-            job.claim = None
-            self._running_jobs.discard(job.job_id)
-            self._deadline_locked(job, message)
-
-    def _deadline_locked(self, job: Job, message: str) -> None:
-        """Finalize one job whose caller deadline ran out (service
-        lock held).  Terminal and typed — never the retry/quarantine
-        path: the failure is the *caller's* clock, not the sample."""
-        job.state = "deadline_exceeded"
-        job.outcome = "deadline_exceeded"
-        job.error = message
-        job.finished_s = time.time()
-        self._deadline_exceeded += 1
-        self.perf.record_shed("deadline")
-        if self._inflight.get(job.scan_key) is job:
-            self._inflight.pop(job.scan_key, None)
-        self.overload.observe_completion()
-
-    def _fail_locked(self, job: Job, message: str) -> None:
-        """Retry-or-quarantine one failed attempt (service lock held)."""
-        job.attempts += 1
-        job.error = message
-        self.quarantine.record_failure(job.scan_key, message)
-        if self.quarantine.is_quarantined(job.scan_key):
-            job.state = "quarantined"
-            job.finished_s = time.time()
-            self._quarantined += 1
-            self._inflight.pop(job.scan_key, None)
-            self.overload.observe_completion()
-            try:
-                self._healed(lambda: self.store.put_quarantine(
-                    job.scan_key, job.module_hash,
-                    self.quarantine.quarantined().get(job.scan_key,
-                                                      [])))
-            except StoreBudgetExceeded:
-                pass
-            return
-        if job.attempts <= self.policy.max_retries \
-                and not self._draining:
-            job.state = "queued"
-            self.queue.put(job, force=True)  # containment re-queue
-            return
-        job.state = "failed"
-        job.finished_s = time.time()
-        self._failed += 1
-        self._inflight.pop(job.scan_key, None)
-        self.overload.observe_completion()
+    @staticmethod
+    def _owns(job: Job, token: str) -> bool:
+        """``token`` still holds the job's claim (not revoked, not
+        settled)."""
+        return job.claim == token and not job.terminal
 
     # -- supervision callbacks ---------------------------------------------
     def _on_reap(self, record: WorkerRecord, reason: str) -> None:
@@ -1116,13 +1088,11 @@ class ScanService:
         if job is None:
             return
         with self._lock:
-            if job.claim != record.token or job.terminal:
-                return  # completed (or already requeued) before the sweep
-            job.claim = None
-            self._running_jobs.discard(job.job_id)
-            job.requeues += 1
-            self._fail_locked(job, f"worker {record.token} {reason} "
-                                   f"mid-campaign; job requeued")
+            if self._owns(job, record.token):
+                job.requeues += 1
+                self._fail(job, f"worker {record.token} {reason} "
+                                f"mid-campaign; job requeued",
+                           record.token)
 
     def _on_storm(self) -> None:
         """Too many worker restarts per window: something is
@@ -1132,37 +1102,32 @@ class ScanService:
             self._storm = True
             self._accepting = False
 
-    def _job_expired(self, job: Job) -> None:
+    def _on_stale(self, job: Job) -> None:
         """Queue staleness callback (invoked outside the queue lock):
         either the caller's wall-clock deadline passed or the job's
         monotonic queue TTL ran out — the queue sweep polices both."""
         with self._lock:
-            if job.terminal:
-                return
             if job.deadline_remaining_s() <= 0.0:
-                self._deadline_locked(
-                    job, "caller deadline passed while queued")
-                return
-            job.state = "expired"
-            job.error = (f"job exceeded its {job.ttl_s:g}s queue TTL "
-                         "before a worker was free")
-            job.finished_s = time.time()
-            self._expired += 1
-            if self._inflight.get(job.scan_key) is job:
-                self._inflight.pop(job.scan_key, None)
-            self.overload.observe_completion()
+                self.transition(
+                    job, JobState.DEADLINE_EXCEEDED,
+                    error="caller deadline passed while queued")
+            else:
+                self.transition(
+                    job, JobState.EXPIRED,
+                    error=(f"job exceeded its {job.ttl_s:g}s queue TTL "
+                           "before a worker was free"))
 
     def _record_stage_outcomes(self, result, *, completed: bool,
-                               forced_blackbox: bool) -> None:
+                               blackbox: bool) -> None:
         """Feed per-stage outcomes of one campaign to the breaker
         board (service lock held).  A stage named in an error doc is a
         failure.  A *completed* campaign is a success for every other
         stage it exercised — with one carve-out: the black-box-gated
         stages (symbolic replay, solver) only count as successes when
-        the campaign actually ran the full pipeline, i.e. it was
-        neither breaker-forced into black-box mode nor internally
-        degraded, so a degraded run can never close the very breaker
-        that is protecting it."""
+        the campaign actually ran the full pipeline, i.e. dispatch did
+        not send it black-box and it did not degrade internally, so a
+        degraded run can never close the very breaker that is
+        protecting it."""
         failed_stages = set()
         for doc in result.errors.values():
             stage = doc.get("stage")
@@ -1173,7 +1138,7 @@ class ScanService:
                 self.perf.breaker_trips += 1
         if not completed:
             return
-        ran_full = not forced_blackbox and not result.degraded
+        ran_full = not blackbox and not result.degraded
         for stage in BREAKER_STAGES:
             if stage in failed_stages:
                 continue
@@ -1184,8 +1149,9 @@ class ScanService:
 
     def _record_latency(self, job: Job, result) -> None:
         if job.started_s and job.finished_s:
-            self.perf.record_latency("job",
-                                     job.finished_s - job.started_s)
+            latency = job.finished_s - job.started_s
+            self.perf.record_latency("job", latency)
+            self.overload.observe_latency(latency)
         for stage, seconds in result.stage_seconds.items():
             self.perf.record_latency(stage, seconds)
         self.perf.campaigns += len(result.scans)
@@ -1306,32 +1272,25 @@ class ScanService:
             recipes: list[dict] = []
             for job in jobs:
                 self._steals += 1
-                token = f"{thief}#{self._steals}"
-                job.claim = token
-                job.stolen_by = token
-                job.state = "stolen"
-                job.outcome = "stolen"
-                job.finished_s = time.time()
-                if self._inflight.get(job.scan_key) is job:
-                    self._inflight.pop(job.scan_key, None)
-                abi_json = (job.task.abi.to_json()
-                            if job.task is not None else "")
                 data = self._healed(
                     lambda h=job.module_hash: self.store.get_module(h))
                 if data is None:
                     # Module bytes lost (store rebuild raced the
                     # steal): fail the job locally instead of handing
                     # the thief an unrunnable recipe.
-                    job.state = "failed"
-                    job.error = "module bytes lost before steal"
-                    self._failed += 1
+                    self.transition(job, JobState.FAILED,
+                                    error="module bytes lost before steal")
                     continue
+                token = f"{thief}#{self._steals}"
+                self.transition(job, JobState.STOLEN, claim=token,
+                                outcome="stolen")
+                job.stolen_by = token
                 recipe = {
                     "job_id": job.job_id,
                     "scan_key": job.scan_key,
                     "module_hash": job.module_hash,
                     "module": data,
-                    "abi": abi_json,
+                    "abi": job.task.abi.to_json(),
                     "config": dict(job.config),
                     "client": job.client,
                     "priority": job.priority,
@@ -1421,41 +1380,36 @@ class ScanService:
         black-box-only); ``draining`` — not accepting (graceful drain
         or a restart storm)."""
         with self._lock:
-            open_stages = self.breakers.open_stages()
-            accepting = self._accepting
-            storm = self._storm
-            partitioned = self._partitioned
-        status = "ok"
-        if open_stages:
-            status = "degraded"
-        if not accepting:
-            status = "draining"
-        if partitioned:
-            # Partition-mode reads are served but explicitly stale:
-            # the node cannot know what the majority decided since.
-            status = "partitioned"
-        doc = {
-            "status": status,
-            "accepting": accepting and not partitioned,
-            "stale": partitioned,
-            "storm": storm,
-            "pressure": self.overload.pressure,
-            "breakers": {"open": open_stages},
-            "workers": (self.supervisor.stats()
-                        if self.supervisor is not None
-                        else {"alive": 0,
-                              "configured": self.config.workers,
-                              "restarts": 0,
-                              "reaps": {"died": 0, "hung": 0},
-                              "storm": False}),
-        }
-        return doc
+            return {
+                "status": self._status_locked(),
+                "accepting": self._accepting and not self._partitioned,
+                "stale": self._partitioned,
+                "storm": self._storm,
+                "pressure": self.overload.pressure,
+                "breakers": {"open": self.breakers.open_stages()},
+                "workers": (self.supervisor.stats()
+                            if self.supervisor is not None
+                            else {"alive": 0,
+                                  "configured": self.config.workers,
+                                  "restarts": 0,
+                                  "reaps": {"died": 0, "hung": 0},
+                                  "storm": False}),
+            }
+
+    def _status_locked(self) -> str:
+        # Partition-mode reads are served but explicitly stale: the
+        # node cannot know what the majority decided since.
+        return ("partitioned" if self._partitioned else
+                "draining" if not self._accepting else
+                "degraded" if self.breakers.open_stages() else "ok")
 
     def stats(self) -> dict:
         with self._lock:
-            states: dict[str, int] = {}
-            for job in self._jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
+            states = Counter(job.state.value
+                             for job in self._jobs.values())
+            entered: Counter = Counter()
+            for (_, to), count in self._edges.items():
+                entered[to] += count
             total = self._cache_hits + self._coalesce_hits
             running = len(self._running_jobs)
             return {
@@ -1466,17 +1420,16 @@ class ScanService:
                 "workers": self.config.workers,
                 "accepting": self._accepting and not self._partitioned,
                 "stale": self._partitioned,
-                "health": ("partitioned" if self._partitioned else
-                           "draining" if not self._accepting else
-                           "degraded" if self.breakers.open_stages()
-                           else "ok"),
+                "health": self._status_locked(),
                 "submissions": self._submissions,
-                "jobs": states,
-                "completed": self._completed,
-                "failed": self._failed,
-                "quarantined": self._quarantined,
-                "expired": self._expired,
-                "deadline_exceeded": self._deadline_exceeded,
+                "jobs": dict(states),
+                # Cache and replay hits (new -> done) are not runs.
+                "completed": self._edges[JobState.RUNNING,
+                                         JobState.DONE],
+                "failed": entered[JobState.FAILED],
+                "quarantined": entered[JobState.QUARANTINED],
+                "expired": entered[JobState.EXPIRED],
+                "deadline_exceeded": entered[JobState.DEADLINE_EXCEEDED],
                 "promoted": self.queue.promoted,
                 "admission_rejected": self._admission_rejected,
                 "shed": self.queue.shed,

@@ -142,8 +142,9 @@ def test_steal_then_zombie_claim_is_discarded(fleet):
         assert record.node != victim and record.stolen == 1
         # The zombie wakes up and reports a result for the job it
         # thinks it still owns: the claim check throws it away.
-        victim_service._job_failed(job, zombie_token,
-                                   "zombie waking up late")
+        assert not victim_service.transition(
+            job, "failed", token=zombie_token,
+            error="zombie waking up late")
         assert job.state == "stolen", \
             "a revoked claim overwrote a stolen job"
     fleet.start()
