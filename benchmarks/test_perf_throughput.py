@@ -21,7 +21,6 @@ from repro import build_table4_corpus, evaluate_corpus, ThroughputStats
 from repro.engine import configure_instrumentation_cache
 from repro.sharedcache import configure_shared_cache, shared_cache_dir
 from repro.smt import configure_solver_cache
-from repro.wasm import translation_enabled
 
 PARALLEL_JOBS = 4
 
@@ -128,7 +127,6 @@ def test_write_throughput_report(runs, bench_scale, bench_timeout_ms):
         "serial": serial_perf.as_dict(),
         "parallel": parallel_perf.as_dict(),
         "speedup": serial_wall / max(parallel_wall, 1e-9),
-        "translation_enabled": translation_enabled(),
         "shared_cache": True,
         "wasai_total_f1": serial_tables["wasai"].total().f1,
     }

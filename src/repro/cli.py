@@ -81,10 +81,6 @@ def main(argv: list[str] | None = None) -> int:
     scan.add_argument("--max-memory-pages", type=int, default=None,
                       help="cap on Wasm linear memory growth during "
                            "fuzzing, in 64 KiB pages (default 1024)")
-    scan.add_argument("--no-translate", dest="translate",
-                      action="store_false", default=True,
-                      help="run the generic reference interpreter instead "
-                           "of the direct-threaded translation layer")
     scan.add_argument("--cache-dir", type=Path, default=None,
                       help="shared on-disk cache directory (instrumentation "
                            "+ solver results, safe for concurrent workers)")
@@ -139,10 +135,6 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument("--backoff-s", type=float, default=0.0,
                        help="base delay between retry rounds, doubled "
                             "each round (default 0: no delay)")
-    bench.add_argument("--no-translate", dest="translate",
-                       action="store_false", default=True,
-                       help="run the generic reference interpreter instead "
-                            "of the direct-threaded translation layer")
     bench.add_argument("--cache-dir", type=Path, default=None,
                        help="shared on-disk cache directory; parallel "
                             "workers reuse each other's instrumentation "
@@ -339,11 +331,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="print each phase as it completes")
 
     args = parser.parse_args(argv)
-    # Process-wide performance knobs.  Both are plain module globals,
-    # so forked parallel workers inherit them.
-    if getattr(args, "translate", True) is False:
-        from .wasm.interpreter import configure_translation
-        configure_translation(False)
+    # Process-wide shared cache: a plain module global, so forked
+    # parallel workers inherit it.
     if getattr(args, "cache_dir", None) is not None:
         from .sharedcache import configure_shared_cache
         configure_shared_cache(args.cache_dir)

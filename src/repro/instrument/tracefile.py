@@ -6,20 +6,17 @@ contract executions never interleave.  :class:`TraceStore` reproduces
 that: per-execution buffers keyed by a thread/action token, flushed to
 per-token files on finalize, with a loader for Symback.
 
-Two on-disk formats are supported: the paper-faithful JSONL
-(one ``[hook_name, args]`` line per event) and the compact columnar
-trace IR of :mod:`repro.traceir` (``.tir``).  Both are written
-atomically — the bytes land in a temp file in the same directory and
-are published with ``os.replace`` — so a crash mid-flush can never
-leave a half-written trace that a later read parses as a
-short-but-valid stream.  Both loaders lift every defect to a typed
-:class:`~repro.resilience.errors.TraceCorruption` carrying the path
-(and, for JSONL, the 1-based line number).
+Each file holds one execution's events in the compact columnar trace
+IR of :mod:`repro.traceir` (``.tir``).  Writes are atomic — the bytes
+land in a temp file in the same directory and are published with
+``os.replace`` — so a crash mid-flush can never leave a half-written
+trace that a later read parses as a short-but-valid stream.  The
+loader lifts every defect to a typed
+:class:`~repro.resilience.errors.TraceCorruption` carrying the path.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -27,9 +24,8 @@ from pathlib import Path
 from ..resilience.errors import TraceCorruption
 from .hooks import HookEvent
 
-__all__ = ["TraceStore", "decode_raw_trace", "write_trace_file",
-           "read_trace_file", "write_trace_ir", "read_trace_ir",
-           "load_trace_file"]
+__all__ = ["TraceStore", "decode_raw_trace", "write_trace_ir",
+           "read_trace_ir"]
 
 
 def decode_raw_trace(raw: list[tuple]) -> list[HookEvent]:
@@ -53,38 +49,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
-
-
-def write_trace_file(path: "str | Path", raw: list[tuple]) -> None:
-    """Persist one execution's trace (one JSON line per event).
-
-    Atomic: a reader either sees the previous complete file or the new
-    complete file, never a prefix.
-    """
-    path = Path(path)
-    lines = [json.dumps([name, list(args)]) for name, args in raw]
-    data = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-    _atomic_write(path, data)
-
-
-def read_trace_file(path: "str | Path") -> list[HookEvent]:
-    events = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                name, args = json.loads(line)
-                events.append(HookEvent.decode(name, tuple(args)))
-            except (ValueError, TypeError, KeyError, IndexError) as exc:
-                # json.JSONDecodeError is a ValueError; the rest cover
-                # well-formed JSON that is not a [hook_name, args]
-                # pair or names an unknown hook.
-                raise TraceCorruption(
-                    f"malformed trace line: {exc}",
-                    path=str(path), line=lineno) from exc
-    return events
 
 
 def write_trace_ir(path: "str | Path", raw: list[tuple]) -> None:
@@ -111,27 +75,12 @@ def read_trace_ir(path: "str | Path") -> list[HookEvent]:
         raise
 
 
-def load_trace_file(path: "str | Path") -> list[HookEvent]:
-    """Load a trace file of either format, dispatching on extension."""
-    if str(path).endswith(".tir"):
-        return read_trace_ir(path)
-    return read_trace_file(path)
-
-
 class TraceStore:
-    """Per-thread trace buffers with offline redirect on finalize.
+    """Per-thread trace buffers with offline redirect on finalize."""
 
-    ``fmt`` picks the on-disk encoding: ``"jsonl"`` (default, the
-    paper's line-per-event layout) or ``"ir"`` (the columnar,
-    CRC-guarded trace IR).
-    """
-
-    def __init__(self, directory: "str | Path", fmt: str = "jsonl"):
-        if fmt not in ("jsonl", "ir"):
-            raise ValueError(f"unknown trace format {fmt!r}")
+    def __init__(self, directory: "str | Path"):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.fmt = fmt
         self._buffers: dict[str, list[tuple]] = {}
         self._sequence = 0
 
@@ -139,16 +88,11 @@ class TraceStore:
         self._buffers.setdefault(token, []).append((hook_name, args))
 
     def finalize(self, token: str) -> Path:
-        """Flush one thread's buffer to its own offline file."""
+        """Flush one thread's buffer to its own offline ``.tir`` file."""
         raw = self._buffers.pop(token, [])
         self._sequence += 1
-        suffix = "tir" if self.fmt == "ir" else "jsonl"
-        path = self.directory \
-            / f"trace-{self._sequence:06d}-{token}.{suffix}"
-        if self.fmt == "ir":
-            write_trace_ir(path, raw)
-        else:
-            write_trace_file(path, raw)
+        path = self.directory / f"trace-{self._sequence:06d}-{token}.tir"
+        write_trace_ir(path, raw)
         return path
 
     def pending_tokens(self) -> list[str]:

@@ -100,7 +100,7 @@ class CampaignError(Exception):
         # round-trip without each subclass writing its own from_doc.
         for extra in ("offset", "section", "func_index", "pc", "opcode",
                       "shadow", "traced", "elapsed_s", "exitcode",
-                      "path", "line", "deadline_epoch_s"):
+                      "path", "deadline_epoch_s"):
             if extra in doc and hasattr(error, extra):
                 setattr(error, extra, doc[extra])
         return error
@@ -241,33 +241,31 @@ class TraceCorruption(CampaignError):
     """A stored trace failed to decode losslessly back into events.
 
     Raised by the trace IR codec (:mod:`repro.traceir`) and the
-    offline trace-file loaders for every way a durable trace can rot:
+    offline trace-file loader for every way a durable trace can rot:
     truncation, a flipped bit caught by a section CRC, an unknown
-    ``TRACEIR_VERSION``, a malformed JSONL line, framing that runs
-    past the blob.  Never retryable — the bytes on disk will not
-    improve — and never degradable: a trace that cannot be decoded
-    must be quarantined and its module re-scanned, because *any*
-    events recovered from it could make the oracles lie.  ``path`` /
-    ``line`` locate the defect in an offline trace file; ``section``
-    / ``offset`` locate it inside an IR blob.
+    ``TRACEIR_VERSION``, framing that runs past the blob.  Never
+    retryable — the bytes on disk will not improve — and never
+    degradable: a trace that cannot be decoded must be quarantined and
+    its module re-scanned, because *any* events recovered from it
+    could make the oracles lie.  ``path`` names the offline trace
+    file; ``section`` / ``offset`` locate the defect inside an IR
+    blob.
     """
 
     stage = "trace"
     retryable = False
 
     def __init__(self, message: str = "", *, path: str | None = None,
-                 line: int | None = None, section: str | None = None,
-                 offset: int | None = None, **kwargs):
+                 section: str | None = None, offset: int | None = None,
+                 **kwargs):
         super().__init__(message, **kwargs)
         self.path = path
-        self.line = line
         self.section = section
         self.offset = offset
 
     def to_doc(self) -> dict:
         doc = super().to_doc()
         doc["path"] = self.path
-        doc["line"] = self.line
         doc["section"] = self.section
         doc["offset"] = self.offset
         return doc
@@ -277,8 +275,6 @@ class TraceCorruption(CampaignError):
         context = []
         if self.path is not None:
             context.append(f"path={self.path}")
-        if self.line is not None:
-            context.append(f"line={self.line}")
         if self.section is not None:
             context.append(f"section={self.section}")
         if self.offset is not None:

@@ -99,11 +99,74 @@ from urllib.parse import parse_qs
 from ..resilience import MalformedModule
 from ..resilience.journal import campaign_result_from_doc
 from ..scanner.report import report_to_json
-from .queue import QueueFull
+from .queue import QueueFull, recipe_to_wire
 from .scheduler import NodePartitioned, ScanService
 from .tenants import QuotaExceeded, TenantBook, UnknownApiKey
 
-__all__ = ["ServiceApi"]
+__all__ = ["ServiceApi", "job_doc"]
+
+# The typed admission refusals; :func:`_refusal` renders each one.
+_REFUSALS = (QueueFull, NodePartitioned, MalformedModule, UnknownApiKey)
+
+
+def _refusal(exc: Exception) -> tuple[int, dict]:
+    """The ``(status, doc)`` reply for one typed admission refusal."""
+    if isinstance(exc, QueueFull):
+        doc = {"error": "queue_full", "detail": str(exc),
+               "kind": exc.kind, "depth": exc.depth, "limit": exc.limit,
+               "retry_after_s": exc.retry_after_s}
+        if isinstance(exc, QuotaExceeded):
+            doc["tenant"] = exc.tenant
+        return 429, doc
+    if isinstance(exc, NodePartitioned):
+        return 503, {"error": "partitioned", "stale": True,
+                     "detail": str(exc),
+                     "retry_after_s": exc.retry_after_s}
+    if isinstance(exc, MalformedModule):
+        # Hostile upload rejected at admission — it never reached a
+        # worker; the diagnostic names the offending byte range.
+        return 400, {"error": "malformed_module", "detail": str(exc),
+                     "stage": "ingest"}
+    return 401, {"error": "unauthorized", "detail": str(exc)}  # UnknownApiKey
+
+
+def job_doc(job, outcome: str | None = None) -> dict:
+    """The lifecycle doc of one job, as ``GET /scans/{id}`` renders
+    it: a done scan carries its result doc and decoded ``verdict``, a
+    re-verdict job its sweep report.  ``outcome``, when given, is how
+    one submission was satisfied — a coalesced duplicate shares a job
+    whose own outcome is ``queued``."""
+    doc = job.to_doc()
+    if outcome is not None:
+        doc["outcome"] = outcome
+    if job.reverdict:
+        # Re-verdict jobs carry a sweep report, not a campaign
+        # result doc; there is no per-tool verdict to decode.
+        if job.result_doc is not None:
+            doc["result"] = job.result_doc
+        return doc
+    if job.state == "done" and job.result_doc is not None:
+        result = campaign_result_from_doc(job.result_doc)
+        scan = result.scans.get(job.config["tool"])
+        doc["result"] = job.result_doc
+        if scan is not None:
+            doc["verdict"] = json.loads(report_to_json(scan))
+    return doc
+
+
+class _BadRequest(Exception):
+    """A request the API cannot parse: 400 ``bad_request``."""
+
+
+def _json_object(body: bytes) -> dict:
+    """A POST body as a JSON object; an empty body is ``{}``."""
+    try:
+        doc = json.loads(body.decode("utf-8") or "{}")
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise _BadRequest(f"body is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise _BadRequest("body must be a JSON object")
+    return doc
 
 
 class ServiceApi:
@@ -133,20 +196,19 @@ class ServiceApi:
             return 200, self.service.stats()
         if method == "GET" and path == "/integrity":
             return 200, self.service.integrity_sweep()
-        if method == "POST" and path == "/scans":
-            return self._submit(body, headers or {})
-        if method == "POST" and path == "/reverdict":
-            return self._reverdict(body)
         if method == "GET" and path.startswith("/scans/"):
             return self._status(path[len("/scans/"):])
-        if method == "POST" and path == "/fleet/steal":
-            return self._fleet_steal(body)
         if method == "GET" and path == "/fleet/journal":
             return self._fleet_journal(raw_path)
-        if method == "POST" and path == "/fleet/replicate":
-            return self._fleet_replicate(body)
-        if method == "POST" and path == "/fleet/partition":
-            return self._fleet_partition(body)
+        posts = {"/scans": self._submit, "/reverdict": self._reverdict,
+                 "/fleet/steal": self._fleet_steal,
+                 "/fleet/replicate": self._fleet_replicate,
+                 "/fleet/partition": self._fleet_partition}
+        if method == "POST" and path in posts:
+            try:
+                return posts[path](_json_object(body), headers or {})
+            except _BadRequest as exc:
+                return 400, {"error": "bad_request", "detail": str(exc)}
         return 404, {"error": "not_found", "path": path}
 
     # -- POST /scans -------------------------------------------------------
@@ -175,29 +237,25 @@ class ServiceApi:
             return None
         return float(raw) / 1000.0
 
-    def _submit(self, body: bytes,
-                headers: dict) -> tuple[int, dict]:
-        try:
-            doc = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            return 400, {"error": "bad_request",
-                         "detail": f"body is not JSON: {exc}"}
-        if not isinstance(doc, dict) or "module_b64" not in doc \
-                or "abi" not in doc:
-            return 400, {"error": "bad_request",
-                         "detail": "need module_b64 and abi fields"}
+    def _submit(self, doc: dict, headers: dict) -> tuple[int, dict]:
+        if "module_b64" not in doc or "abi" not in doc:
+            raise _BadRequest("need module_b64 and abi fields")
         try:
             data = base64.b64decode(doc["module_b64"], validate=True)
         except (binascii.Error, ValueError) as exc:
-            return 400, {"error": "bad_request",
-                         "detail": f"module_b64 is not base64: {exc}"}
+            raise _BadRequest(f"module_b64 is not base64: {exc}") from exc
+        try:
+            return self._admit(data, doc, headers)
+        except _REFUSALS as exc:
+            return _refusal(exc)
+
+    def _admit(self, data: bytes, doc: dict,
+               headers: dict) -> tuple[int, dict]:
         if self.service.partitioned:
             # A minority-side node refuses every write before it costs
             # anyone quota or parsing; reads keep flowing stale-marked.
-            return 503, {"error": "partitioned", "stale": True,
-                         "detail": "node is on the minority side of "
-                                   "a network partition",
-                         "retry_after_s": 5.0}
+            raise NodePartitioned("node is on the minority side of a "
+                                  "network partition")
         tenant = None
         api_key = self._api_key(doc, headers)
         if self.tenants is not None:
@@ -205,18 +263,10 @@ class ServiceApi:
             # costs the node nothing but this lookup.  The quota is
             # charged only after routing, so a wrong-shard redirect
             # never double-bills the tenant.
-            try:
-                self.tenants.validate(api_key)
-            except UnknownApiKey as exc:
-                return 401, {"error": "unauthorized",
-                             "detail": str(exc)}
+            self.tenants.validate(api_key)
         if self.router is not None:
-            try:
-                from .backend import module_hash_of
-                location = self.router(module_hash_of(data))
-            except MalformedModule as exc:
-                return 400, {"error": "malformed_module",
-                             "detail": str(exc), "stage": "ingest"}
+            from .backend import module_hash_of
+            location = self.router(module_hash_of(data))
             if location is not None:
                 # Wrong shard: this node does not own the module's
                 # hash arc.  The server layer mirrors ``location``
@@ -227,61 +277,33 @@ class ServiceApi:
         if self.tenants is not None:
             try:
                 tenant = self.tenants.admit(api_key)
-            except QuotaExceeded as exc:
+            except QuotaExceeded:
                 self.service.perf.record_shed("quota")
-                return 429, {"error": "queue_full",
-                             "detail": str(exc), "kind": exc.kind,
-                             "depth": exc.depth, "limit": exc.limit,
-                             "retry_after_s": exc.retry_after_s,
-                             "tenant": exc.tenant}
-            except UnknownApiKey as exc:
-                return 401, {"error": "unauthorized",
-                             "detail": str(exc)}
+                raise
         ttl_s = doc.get("ttl_s")
         try:
             deadline_epoch_s = self._deadline_epoch_s(doc, headers)
         except (TypeError, ValueError):
-            return 400, {"error": "bad_request",
-                         "detail": "X-Deadline-Ms / deadline_epoch_ms "
-                                   "must be epoch milliseconds"}
-        try:
-            submission = self.service.submit_bytes(
-                data, doc["abi"], config=doc.get("config"),
-                client=str(doc.get("client", "anon")),
-                priority=int(doc.get("priority", 0)),
-                ttl_s=float(ttl_s) if ttl_s is not None else None,
-                deadline_epoch_s=deadline_epoch_s)
-        except MalformedModule as exc:
-            # Hostile upload rejected at admission — it never reached
-            # a worker; the diagnostic names the offending byte range.
-            return 400, {"error": "malformed_module",
-                         "detail": str(exc),
-                         "stage": "ingest"}
-        except NodePartitioned as exc:
-            return 503, {"error": "partitioned", "stale": True,
-                         "detail": str(exc),
-                         "retry_after_s": exc.retry_after_s}
-        except QueueFull as exc:
-            return 429, {"error": "queue_full", "detail": str(exc),
-                         "kind": exc.kind, "depth": exc.depth,
-                         "limit": exc.limit,
-                         "retry_after_s": exc.retry_after_s}
-        job_doc = self._job_doc(submission.job)
-        # The job's own outcome says how *it* was admitted; the reply
-        # reflects how *this submission* was satisfied (a coalesced
-        # duplicate shares a job whose outcome is "queued").
-        job_doc["outcome"] = submission.outcome
+            raise _BadRequest("X-Deadline-Ms / deadline_epoch_ms must "
+                              "be epoch milliseconds") from None
+        submission = self.service.submit_bytes(
+            data, doc["abi"], config=doc.get("config"),
+            client=str(doc.get("client", "anon")),
+            priority=int(doc.get("priority", 0)),
+            ttl_s=float(ttl_s) if ttl_s is not None else None,
+            deadline_epoch_s=deadline_epoch_s)
+        reply = job_doc(submission.job, submission.outcome)
         if tenant is not None:
-            job_doc["tenant"] = tenant
+            reply["tenant"] = tenant
         if submission.outcome not in ("queued", "coalesced"):
             # Terminal at admission: a dedup hit or brownout replay
             # already carries the verdict; an expired deadline carries
             # its typed terminal doc — nothing is pending either way.
-            return 200, job_doc
-        return 202, job_doc
+            return 200, reply
+        return 202, reply
 
     # -- POST /reverdict ---------------------------------------------------
-    def _reverdict(self, body: bytes) -> tuple[int, dict]:
+    def _reverdict(self, doc: dict, headers: dict) -> tuple[int, dict]:
         """Queue a fleet-wide oracle replay over the stored traces.
 
         JSON body (all fields optional): ``{"oracle_version": N,
@@ -291,14 +313,6 @@ class ServiceApi:
         insufficient counts plus itemised incidents) lands in the
         job's ``result`` once it completes.
         """
-        try:
-            doc = json.loads(body.decode("utf-8") or "{}")
-        except (ValueError, UnicodeDecodeError) as exc:
-            return 400, {"error": "bad_request",
-                         "detail": f"body is not JSON: {exc}"}
-        if not isinstance(doc, dict):
-            return 400, {"error": "bad_request",
-                         "detail": "body must be a JSON object"}
         oracle_version = doc.get("oracle_version")
         oracles = doc.get("oracles")
         if oracles is not None:
@@ -315,36 +329,16 @@ class ServiceApi:
                 client=str(doc.get("client", "reverdict")),
                 priority=int(doc.get("priority", 0)),
                 oracles=oracles)
-        except NodePartitioned as exc:
-            return 503, {"error": "partitioned", "stale": True,
-                         "detail": str(exc),
-                         "retry_after_s": exc.retry_after_s}
-        except QueueFull as exc:
-            return 429, {"error": "queue_full", "detail": str(exc),
-                         "kind": exc.kind, "depth": exc.depth,
-                         "limit": exc.limit,
-                         "retry_after_s": exc.retry_after_s}
-        job_doc = self._job_doc(submission.job)
-        job_doc["outcome"] = submission.outcome
-        return 202, job_doc
+        except _REFUSALS as exc:
+            return _refusal(exc)
+        return 202, job_doc(submission.job, submission.outcome)
 
     # -- fleet verbs -------------------------------------------------------
-    def _fleet_steal(self, body: bytes) -> tuple[int, dict]:
-        try:
-            doc = json.loads(body.decode("utf-8") or "{}")
-        except (ValueError, UnicodeDecodeError) as exc:
-            return 400, {"error": "bad_request",
-                         "detail": f"body is not JSON: {exc}"}
+    def _fleet_steal(self, doc: dict, headers: dict) -> tuple[int, dict]:
         recipes = self.service.steal_unclaimed(
             max(0, int(doc.get("max_jobs", 1))),
             thief=str(doc.get("thief", "fleet")))
-        wire = []
-        for recipe in recipes:
-            recipe = dict(recipe)
-            module = recipe.pop("module", b"")
-            recipe["module_b64"] = base64.b64encode(module) \
-                .decode("ascii")
-            wire.append(recipe)
+        wire = [recipe_to_wire(recipe) for recipe in recipes]
         return 200, {"recipes": wire, "stolen": len(wire)}
 
     def _fleet_journal(self, raw_path: str) -> tuple[int, dict]:
@@ -357,25 +351,16 @@ class ServiceApi:
         entries, new_cursor = self.service.ship_journal(cursor)
         return 200, {"entries": entries, "cursor": new_cursor}
 
-    def _fleet_replicate(self, body: bytes) -> tuple[int, dict]:
-        try:
-            doc = json.loads(body.decode("utf-8") or "{}")
-        except (ValueError, UnicodeDecodeError) as exc:
-            return 400, {"error": "bad_request",
-                         "detail": f"body is not JSON: {exc}"}
+    def _fleet_replicate(self, doc: dict,
+                         headers: dict) -> tuple[int, dict]:
         entries = doc.get("entries")
         if not isinstance(entries, list):
-            return 400, {"error": "bad_request",
-                         "detail": "need an entries list"}
+            raise _BadRequest("need an entries list")
         applied = self.service.apply_replica_verdicts(entries)
         return 200, {"applied": applied}
 
-    def _fleet_partition(self, body: bytes) -> tuple[int, dict]:
-        try:
-            doc = json.loads(body.decode("utf-8") or "{}")
-        except (ValueError, UnicodeDecodeError) as exc:
-            return 400, {"error": "bad_request",
-                         "detail": f"body is not JSON: {exc}"}
+    def _fleet_partition(self, doc: dict,
+                         headers: dict) -> tuple[int, dict]:
         partitioned = bool(doc.get("partitioned", True))
         reason = doc.get("reason")
         self.service.set_partitioned(
@@ -387,21 +372,4 @@ class ServiceApi:
         job = self.service.job(job_id)
         if job is None:
             return 404, {"error": "unknown_job", "id": job_id}
-        return 200, self._job_doc(job)
-
-    def _job_doc(self, job) -> dict:
-        doc = job.to_doc()
-        if job.reverdict:
-            # Re-verdict jobs carry a sweep report, not a campaign
-            # result doc; there is no per-tool verdict to decode.
-            if job.result_doc is not None:
-                doc["result"] = job.result_doc
-            return doc
-        if job.state == "done" and job.result_doc is not None:
-            result = campaign_result_from_doc(job.result_doc)
-            tool = job.config["tool"]
-            scan = result.scans.get(tool)
-            doc["result"] = job.result_doc
-            if scan is not None:
-                doc["verdict"] = json.loads(report_to_json(scan))
-        return doc
+        return 200, job_doc(job)

@@ -1,10 +1,10 @@
 """The coordinator/worker seam: one scan node as the fleet sees it.
 
-PR 4/5 built a single self-healing daemon; fleet scale needs the
-scheduler split behind an interface so the *same* coordinator logic
-(consistent-hash sharding, work stealing, journal-shipped replicas,
-failover) drives any deployment shape.  :class:`CoordinatorBackend`
-is that seam — everything the fleet layer ever does to a node:
+Fleet scale needs the scheduler split behind an interface so the
+*same* coordinator logic (consistent-hash sharding, work stealing,
+journal-shipped replicas, failover) drives any deployment shape.
+:class:`CoordinatorBackend` is that seam — everything the fleet layer
+ever does to a node:
 
 * ``submit`` / ``job`` — route work to the node and observe it;
 * ``steal`` — pull *unclaimed* queue entries off an overloaded node
@@ -44,14 +44,14 @@ asserts.
 
 from __future__ import annotations
 
-import base64
 import bisect
 import hashlib
 from abc import ABC, abstractmethod
 
+from .api import job_doc
 from .client import ServiceClient, ServiceError
 from .scheduler import NodePartitioned, ScanService
-from .queue import QueueFull
+from .queue import QueueFull, recipe_from_wire
 
 __all__ = ["BackendUnavailable", "CoordinatorBackend", "HashRing",
            "InProcessBackend", "ProcessBackend", "RemoteBackend",
@@ -238,20 +238,11 @@ class InProcessBackend(CoordinatorBackend):
             data, abi_json, config=config, client=client,
             priority=priority, ttl_s=ttl_s,
             deadline_epoch_s=deadline_epoch_s)
-        doc = submission.job.to_doc()
-        doc["outcome"] = submission.outcome
-        if submission.job.result_doc is not None:
-            doc["result"] = submission.job.result_doc
-        return doc
+        return job_doc(submission.job, submission.outcome)
 
     def job(self, job_id: str) -> dict | None:
         job = self._check().job(job_id)
-        if job is None:
-            return None
-        doc = job.to_doc()
-        if job.result_doc is not None:
-            doc["result"] = job.result_doc
-        return doc
+        return None if job is None else job_doc(job)
 
     def health(self) -> dict:
         return self._check().health()
@@ -351,13 +342,7 @@ class RemoteBackend(CoordinatorBackend):
     def steal(self, max_jobs: int, thief: str = "fleet") -> list[dict]:
         doc = self._call(self.client._checked, "POST", "/fleet/steal",
                          {"max_jobs": max_jobs, "thief": thief})
-        recipes = []
-        for recipe in doc.get("recipes", ()):
-            recipe = dict(recipe)
-            recipe["module"] = base64.b64decode(
-                recipe.pop("module_b64", ""))
-            recipes.append(recipe)
-        return recipes
+        return [recipe_from_wire(wire) for wire in doc.get("recipes", ())]
 
     def ship_journal(self, cursor: int = 0) -> tuple[list[dict], int]:
         doc = self._call(self.client._checked, "GET",

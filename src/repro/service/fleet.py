@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 from .backend import (BackendUnavailable, CoordinatorBackend, HashRing,
                       module_hash_of)
-from .queue import SETTLED
+from .queue import SETTLED, resubmit
 from .scheduler import NodePartitioned
 from .tenants import TenantBook
 
@@ -165,10 +165,7 @@ class ScanFleet:
         for name in self.ring.owners(key, count=len(self.ring)):
             backend = self.backends[name]
             try:
-                doc = backend.submit(
-                    data, abi_json, config=config, client=client,
-                    priority=priority, ttl_s=ttl_s,
-                    deadline_epoch_s=deadline_epoch_s)
+                doc = resubmit(backend.submit, recipe)
             except (BackendUnavailable, NodePartitioned) as exc:
                 last_error = exc
                 continue
@@ -280,17 +277,8 @@ class ScanFleet:
         """Resubmit a recipe on ``new_node`` and remap the fleet
         record that pointed at ``old_node`` (if any — direct node
         submissions have no fleet record and are simply moved)."""
-        backend = self.backends[new_node]
-        deadline = recipe.get("deadline_epoch_s")
         try:
-            doc = backend.submit(
-                recipe["module"], recipe["abi"],
-                config=recipe.get("config") or None,
-                client=recipe.get("client", "anon"),
-                priority=int(recipe.get("priority", 0)),
-                ttl_s=recipe.get("ttl_s"),
-                deadline_epoch_s=(float(deadline)
-                                  if deadline is not None else None))
+            doc = resubmit(self.backends[new_node].submit, recipe)
         except (BackendUnavailable, NodePartitioned):
             return 0
         with self._lock:

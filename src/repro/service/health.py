@@ -12,8 +12,9 @@ again after a cooldown:
     normal operation; a success resets the consecutive-failure count.
 ``open``
     the stage failed ``threshold`` times in a row.  Jobs that would
-    need it degrade to black-box-only scanning (the PR-2 degradation
-    path) instead of failing; the cooldown clock runs.
+    need it degrade to black-box-only scanning (the resilience
+    policy's degradation path) instead of failing; the cooldown clock
+    runs.
 ``half_open``
     the cooldown elapsed.  Exactly one job per half-open window runs
     as a full-pipeline *probe*: success closes the breaker (and resets
@@ -55,7 +56,7 @@ BLACKBOX_GATED_STAGES = ("symback", "solve")
 # ``elevated``   fuzz budgets shrink (fewer rounds per campaign).
 # ``saturated``  additionally black-box-only — the symbolic side is the
 #                most expensive stage, and degraded verdicts already
-#                carry the PR-5 labeling.
+#                carry their ``degraded`` label.
 # ``shedding``   new work is refused with a measured Retry-After;
 #                cache and replay hits are still served.
 PRESSURE_LEVELS = ("normal", "elevated", "saturated", "shedding")

@@ -43,6 +43,7 @@ The :class:`Job` record is what ``GET /scans/{id}`` renders.
 
 from __future__ import annotations
 
+import base64
 import threading
 import time
 from collections import OrderedDict, deque
@@ -51,7 +52,8 @@ from enum import Enum
 from typing import Any, Callable
 
 __all__ = ["Job", "JobQueue", "QueueFull", "JobState", "JOB_STATES",
-           "TRANSITIONS", "TERMINAL", "SETTLED", "IllegalTransition"]
+           "TRANSITIONS", "TERMINAL", "SETTLED", "IllegalTransition",
+           "job_recipe", "resubmit", "recipe_to_wire", "recipe_from_wire"]
 
 
 class JobState(str, Enum):
@@ -190,6 +192,63 @@ class Job:
         if self.error is not None:
             doc["error"] = self.error
         return doc
+
+
+def job_recipe(job: Job, module: bytes | None = None) -> dict:
+    """A queued job's portable form: everything :func:`resubmit` needs
+    to admit it again elsewhere (a drain checkpoint, a fleet peer).
+    The module bytes ride along only when given; a checkpoint names
+    them by ``module_hash`` because the store already holds them."""
+    recipe = {
+        "job_id": job.job_id,
+        "scan_key": job.scan_key,
+        "module_hash": job.module_hash,
+        "abi": job.task.abi.to_json() if job.task is not None else "",
+        "config": dict(job.config),
+        "client": job.client,
+        "priority": job.priority,
+        "ttl_s": job.ttl_s,
+    }
+    if job.deadline_epoch_s is not None:
+        # Absolute wall-clock survives a restart or a hand-off
+        # unchanged, so the receiver re-checks the caller's deadline.
+        recipe["deadline_epoch_s"] = job.deadline_epoch_s
+    if module is not None:
+        recipe["module"] = module
+    return recipe
+
+
+def resubmit(submit: Callable, recipe: dict,
+             module: bytes | None = None):
+    """Admit ``recipe`` again through ``submit`` — any callable with
+    the ``ScanService.submit_bytes`` signature, such as a fleet
+    backend's ``submit`` — and return what it returns."""
+    ttl_s = recipe.get("ttl_s")
+    deadline = recipe.get("deadline_epoch_s")
+    return submit(
+        recipe["module"] if module is None else module,
+        recipe.get("abi", "{}"),
+        config=recipe.get("config") or None,
+        client=recipe.get("client", "anon"),
+        priority=int(recipe.get("priority", 0)),
+        ttl_s=float(ttl_s) if ttl_s is not None else None,
+        deadline_epoch_s=(float(deadline) if deadline is not None
+                          else None))
+
+
+def recipe_to_wire(recipe: dict) -> dict:
+    """A recipe as JSON: the module bytes travel as ``module_b64``."""
+    wire = dict(recipe)
+    wire["module_b64"] = base64.b64encode(
+        wire.pop("module", b"")).decode("ascii")
+    return wire
+
+
+def recipe_from_wire(wire: dict) -> dict:
+    """The inverse of :func:`recipe_to_wire`."""
+    recipe = dict(wire)
+    recipe["module"] = base64.b64decode(recipe.pop("module_b64", ""))
+    return recipe
 
 
 class JobQueue:

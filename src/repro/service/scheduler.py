@@ -26,7 +26,7 @@ Dedup levels:
   of enqueuing a twin, so N concurrent identical uploads cost exactly
   one fuzzing campaign.
 
-Self-healing (this PR's tentpole) has four pillars:
+Self-healing has four pillars:
 
 * **worker supervision** — workers run under a
   :class:`~repro.service.supervisor.WorkerSupervisor` watchdog.  Every
@@ -92,7 +92,7 @@ from .health import (BLACKBOX_GATED_STAGES, BREAKER_STAGES,
 from .integrity import StoreBudgetExceeded, StoreCorruption
 from .overload import OverloadController
 from .queue import (TERMINAL, TRANSITIONS, IllegalTransition, Job,
-                    JobQueue, JobState, QueueFull)
+                    JobQueue, JobState, QueueFull, job_recipe, resubmit)
 from .store import ArtifactStore
 from .supervisor import WorkerRecord, WorkerSupervisor
 
@@ -143,7 +143,6 @@ class ScanServiceConfig:
     restart_backoff_s: float = 0.05
     breaker_threshold: int = 3           # consecutive failures to trip
     breaker_cooldown_s: float = 30.0     # base open->half_open cooldown
-    breaker_max_cooldown_s: float = 300.0
     store_max_bytes: int | None = None   # disk budget (typed shed)
     # -- trace IR / re-verdict knobs ---------------------------------------
     capture_traces: bool = False         # persist trace-IR packs
@@ -156,7 +155,6 @@ class ScanServiceConfig:
     # the observed p95 breaches it the effective inflight budget and
     # queue depth shrink (and recover additively once it is met again).
     target_p95_s: float | None = None
-    min_inflight: int = 1                # AIMD floor
     # Housekeeping cadence: drives the idle-queue TTL/deadline sweep
     # and the controller's AIMD tick.  None disables the thread (tests
     # call housekeeping_once() by hand).
@@ -213,8 +211,7 @@ class ScanService:
         self.quarantine = Quarantine(self.policy.quarantine_after)
         self.breakers = BreakerBoard(
             threshold=self.config.breaker_threshold,
-            cooldown_s=self.config.breaker_cooldown_s,
-            max_cooldown_s=self.config.breaker_max_cooldown_s)
+            cooldown_s=self.config.breaker_cooldown_s)
         self.supervisor: WorkerSupervisor | None = None
         self.perf = ThroughputStats(jobs=self.config.workers)
         self.overload = OverloadController(
@@ -222,7 +219,6 @@ class ScanService:
             target_p95_s=(self.config.target_p95_s
                           if self.config.target_p95_s is not None
                           else 30.0),
-            min_inflight=self.config.min_inflight,
             latency_window_s=self.config.overload_window_s,
             adjust_interval_s=self.config.adjust_interval_s)
         self.started_s = time.time()
@@ -1171,23 +1167,10 @@ class ScanService:
     def _checkpoint(self, job: Job) -> bool:
         """Journal one still-queued job so ``--resume`` can replay it.
         The module bytes live in the store; the journal records the
-        recipe (module hash + ABI + config + client)."""
+        job's recipe, which names them by hash."""
         if self.journal is None:
             return False
-        abi_json = job.task.abi.to_json() if job.task is not None else ""
-        pending = {
-            "module_hash": job.module_hash,
-            "abi": abi_json,
-            "config": dict(job.config),
-            "client": job.client,
-            "priority": job.priority,
-        }
-        if job.deadline_epoch_s is not None:
-            # Absolute wall-clock survives the restart unchanged —
-            # resume re-checks it, so an expired checkpoint is
-            # tombstoned instead of resurrected.
-            pending["deadline_epoch_s"] = job.deadline_epoch_s
-        self._journal_record(job.scan_key, {"pending": pending})
+        self._journal_record(job.scan_key, {"pending": job_recipe(job)})
         return True
 
     def resume_from_journal(self) -> int:
@@ -1223,14 +1206,7 @@ class ScanService:
                                      {"claimed": "deadline_exceeded"})
                 continue
             try:
-                submission = self.submit_bytes(
-                    data, pending.get("abi", "{}"),
-                    config=pending.get("config"),
-                    client=pending.get("client", "anon"),
-                    priority=int(pending.get("priority", 0)),
-                    deadline_epoch_s=(float(deadline)
-                                      if deadline is not None
-                                      else None))
+                submission = resubmit(self.submit_bytes, pending, data)
             except QueueFull:
                 continue  # stays pending for the next resume
             except MalformedModule:
@@ -1250,7 +1226,8 @@ class ScanService:
                         thief: str = "fleet") -> list[dict]:
         """Donate up to ``max_jobs`` *unclaimed* queue entries to a
         fleet peer; returns self-contained recipes the thief can
-        resubmit (module bytes + ABI + config + client + priority).
+        resubmit (:func:`~repro.service.queue.job_recipe` with the
+        module bytes).
 
         Only queued, unclaimed jobs are eligible — a claimed job left
         the queue when its worker took it, so stealing can never race
@@ -1285,19 +1262,7 @@ class ScanService:
                 self.transition(job, JobState.STOLEN, claim=token,
                                 outcome="stolen")
                 job.stolen_by = token
-                recipe = {
-                    "job_id": job.job_id,
-                    "scan_key": job.scan_key,
-                    "module_hash": job.module_hash,
-                    "module": data,
-                    "abi": job.task.abi.to_json(),
-                    "config": dict(job.config),
-                    "client": job.client,
-                    "priority": job.priority,
-                }
-                if job.deadline_epoch_s is not None:
-                    recipe["deadline_epoch_s"] = job.deadline_epoch_s
-                recipes.append(recipe)
+                recipes.append(job_recipe(job, data))
         return recipes
 
     # -- fleet seam: journal shipping / read replicas ----------------------

@@ -35,8 +35,9 @@ instead of crashing into a full disk; the guard doubles as the
 SQLite specifics: one connection (``check_same_thread=False``) behind
 an ``RLock`` — the daemon serves concurrent HTTP threads; WAL mode so
 readers never block the writer.  ``path=":memory:"`` gives the tests a
-throwaway store.  Pre-checksum (PR-4) database files are migrated in
-place: the ``checksum`` column is added and backfilled on open.
+throwaway store.  Database files written before row checksums existed
+are migrated in place: the ``checksum`` column is added and backfilled
+on open.
 """
 
 from __future__ import annotations

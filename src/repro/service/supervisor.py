@@ -1,9 +1,9 @@
 """Worker supervision: heartbeats, a watchdog, restart-storm guard.
 
-The PR-4 service ran scan workers as bare daemon threads: a worker
-that died took a queue slot with it forever, and a worker wedged
-inside a campaign held its job hostage invisibly.  The supervisor
-makes worker death and worker hang *normal, healed events*:
+Unsupervised, a scan worker that died would take a queue slot with
+it forever, and a worker wedged inside a campaign would hold its job
+hostage invisibly.  The supervisor makes worker death and worker hang
+*normal, healed events*:
 
 * every worker has a :class:`WorkerRecord` — its thread, a heartbeat
   timestamp (beaten on every queue poll and job claim) and the job it

@@ -16,8 +16,7 @@ from .interpreter import (ExecutionLimits, HostFunc, Instance,
                           TrapIndirectCall, TrapIntegerDivide,
                           TrapIntegerOverflow, TrapMemoryOutOfBounds,
                           TrapOutOfFuel, TrapResourceLimit,
-                          TrapStackOverflow, TrapUnreachable,
-                          configure_translation, translation_enabled)
+                          TrapStackOverflow, TrapUnreachable)
 from .module import (DataSegment, Element, Export, Function, Global, Import,
                      Module, PAGE_SIZE)
 from .opcodes import (Instr, MEMORY_INSTRUCTIONS, is_load, is_store,
@@ -31,7 +30,7 @@ from .validation import (InstructionTyping, ValidationError, type_function,
 __all__ = [
     "FunctionBuilder", "ModuleBuilder", "encode_module", "ExecutionLimits",
     "HostFunc", "DEFAULT_BUDGET", "IngestBudget", "Instance",
-    "InstanceTemplate", "configure_translation", "translation_enabled",
+    "InstanceTemplate",
     "load_untrusted_module",
     "Trap", "TrapDeadline", "TrapIndirectCall", "TrapIntegerDivide",
     "TrapIntegerOverflow", "TrapMemoryOutOfBounds", "TrapOutOfFuel",

@@ -14,7 +14,6 @@ EOSIO chain layer converts into reverted transactions.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import time as _time
 from dataclasses import dataclass
@@ -28,31 +27,10 @@ __all__ = ["Instance", "HostFunc", "Trap", "TrapUnreachable",
            "TrapIntegerDivide", "TrapMemoryOutOfBounds", "TrapStackOverflow",
            "TrapOutOfFuel", "TrapIndirectCall", "TrapIntegerOverflow",
            "TrapResourceLimit", "TrapDeadline", "ExecutionLimits",
-           "InstanceTemplate", "configure_translation", "translation_enabled"]
+           "InstanceTemplate"]
 
 MASK32 = 0xFFFFFFFF
 MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# Process default for the direct-threaded translation layer
-# (:mod:`repro.wasm.translate`).  On by default — the differential
-# suite holds it to byte-identical behaviour — with two opt-outs: the
-# REPRO_WASM_TRANSLATE=0 environment kill-switch and the per-instance
-# ``ExecutionLimits.translate`` override (the generic interpreter stays
-# the reference semantics either way).
-_TRANSLATE_DEFAULT = os.environ.get("REPRO_WASM_TRANSLATE", "1") != "0"
-
-
-def configure_translation(enabled: bool = True) -> bool:
-    """Set the process-wide default for direct-threaded translation
-    (``ExecutionLimits.translate=None`` resolves here).  Returns the
-    new default.  Forked workers inherit the parent's setting."""
-    global _TRANSLATE_DEFAULT
-    _TRANSLATE_DEFAULT = bool(enabled)
-    return _TRANSLATE_DEFAULT
-
-
-def translation_enabled() -> bool:
-    return _TRANSLATE_DEFAULT
 
 
 class Trap(Exception):
@@ -130,10 +108,10 @@ class ExecutionLimits:
     max_trace_events: int | None = 1_000_000
     max_trace_bytes: int | None = 64 * 1024 * 1024
     deadline_s: float | None = None
-    # Direct-threaded translation (repro.wasm.translate): True/False
-    # force it on/off for instances run under these limits; None defers
-    # to the process default (see configure_translation).
-    translate: bool | None = None
+    # Direct-threaded translation (repro.wasm.translate); False runs
+    # the generic interpreter, the reference semantics the
+    # differential suite holds the translator to.
+    translate: bool = True
 
 
 class _ControlEntry:
@@ -190,11 +168,8 @@ class Instance:
         self._deadline: float | None = None
         # Resolve the translation opt-in once; the lazy import breaks
         # the interpreter <-> translate module cycle.
-        wants_translate = self.limits.translate
-        if wants_translate is None:
-            wants_translate = _TRANSLATE_DEFAULT
         self._translated_for = None
-        if wants_translate:
+        if self.limits.translate:
             from .translate import translated_function
             self._translated_for = translated_function
         # Resolve imported functions in index order.

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.instrument import (BEGIN_FUNCTION, END_FUNCTION, HookEvent,
-                              TraceStore, hook_func_type, load_trace_file,
+                              TraceStore, hook_func_type,
                               parse_hook_name, post_hook_name,
-                              read_trace_file, read_trace_ir,
-                              trace_hook_name, write_trace_file,
+                              read_trace_ir, trace_hook_name,
                               write_trace_ir)
 from repro.resilience import TraceCorruption
 from repro.wasm import F32, F64, FuncType, I32, I64
@@ -51,16 +50,6 @@ def test_hook_event_decoding():
     assert post.operands == (99,)
 
 
-def test_trace_file_roundtrip(tmp_path):
-    raw = [("trace_i32", (0, 42)), (BEGIN_FUNCTION, (1,)),
-           (END_FUNCTION, (1,))]
-    path = tmp_path / "t.jsonl"
-    write_trace_file(path, raw)
-    events = read_trace_file(path)
-    assert [e.kind for e in events] == ["instr", "begin", "end"]
-    assert events[0].operands == (42,)
-
-
 def test_trace_store_per_thread_isolation(tmp_path):
     """The C1 requirement: traces from parallel executions must not
     interleave; each thread's buffer flushes to its own file."""
@@ -71,9 +60,9 @@ def test_trace_store_per_thread_isolation(tmp_path):
     path_a = store.finalize("thread-a")
     path_b = store.finalize("thread-b")
     assert path_a != path_b
-    events_a = read_trace_file(path_a)
+    events_a = read_trace_ir(path_a)
     assert [e.site_id for e in events_a] == [1, 3]
-    assert [e.site_id for e in read_trace_file(path_b)] == [2]
+    assert [e.site_id for e in read_trace_ir(path_b)] == [2]
 
 
 def test_trace_store_finalize_clears_buffer(tmp_path):
@@ -81,35 +70,27 @@ def test_trace_store_finalize_clears_buffer(tmp_path):
     store.append("t", "trace", (1,))
     store.finalize("t")
     assert store.pending_tokens() == []
-    assert read_trace_file(store.finalize("t")) == []
+    assert read_trace_ir(store.finalize("t")) == []
+
+
+def test_trace_store_ir_format(tmp_path):
+    store = TraceStore(tmp_path)
+    store.append("t", "trace", (5,))
+    store.append("t", "post_i32", (5, 9))
+    path = store.finalize("t")
+    assert path.suffix == ".tir"
+    events = read_trace_ir(path)
+    assert [e.kind for e in events] == ["instr", "post"]
 
 
 def test_write_is_atomic_no_temp_residue(tmp_path):
     """After a successful write the directory holds exactly the trace
     file — the temp staging file has been renamed away, never left."""
-    path = tmp_path / "t.jsonl"
-    write_trace_file(path, [("trace_i32", (0, 1))])
-    write_trace_file(path, [("trace_i32", (0, 2))])  # overwrite in place
-    assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
-    assert read_trace_file(path)[0].operands == (2,)
-
-
-def test_malformed_line_raises_typed_with_location(tmp_path):
-    path = tmp_path / "t.jsonl"
-    path.write_text('["trace_i32", [0, 1]]\nnot json at all\n')
-    with pytest.raises(TraceCorruption) as info:
-        read_trace_file(path)
-    assert info.value.path == str(path)
-    assert info.value.line == 2
-    assert info.value.retryable is False
-
-
-def test_wellformed_json_wrong_shape_raises_typed(tmp_path):
-    path = tmp_path / "t.jsonl"
-    path.write_text('["mystery_hook", [1]]\n')
-    with pytest.raises(TraceCorruption) as info:
-        read_trace_file(path)
-    assert info.value.line == 1
+    path = tmp_path / "t.tir"
+    write_trace_ir(path, [("trace_i32", (0, 1))])
+    write_trace_ir(path, [("trace_i32", (0, 2))])  # overwrite in place
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tir"]
+    assert read_trace_ir(path)[0].operands == (2,)
 
 
 def test_trace_ir_file_roundtrip(tmp_path):
@@ -121,10 +102,6 @@ def test_trace_ir_file_roundtrip(tmp_path):
     assert [e.kind for e in events] == ["instr", "begin", "post", "end"]
     assert events[0].operands == (42,)
     assert events[2].operands == (-7,)
-    # load_trace_file dispatches on extension
-    loaded = load_trace_file(path)
-    assert [(e.kind, e.site_id, e.func_id, e.operands) for e in loaded] \
-        == [(e.kind, e.site_id, e.func_id, e.operands) for e in events]
 
 
 def test_trace_ir_corruption_carries_path(tmp_path):
@@ -136,17 +113,17 @@ def test_trace_ir_corruption_carries_path(tmp_path):
     with pytest.raises(TraceCorruption) as info:
         read_trace_ir(path)
     assert info.value.path == str(path)
-    with pytest.raises(TraceCorruption):
+    assert info.value.retryable is False
+    with pytest.raises(TraceCorruption) as info:
         read_trace_ir(tmp_path / "missing.tir")
+    assert info.value.path == str(tmp_path / "missing.tir")
 
 
-def test_trace_store_ir_format(tmp_path):
-    store = TraceStore(tmp_path, fmt="ir")
-    store.append("t", "trace", (5,))
-    store.append("t", "post_i32", (5, 9))
-    path = store.finalize("t")
-    assert path.suffix == ".tir"
-    events = load_trace_file(path)
-    assert [e.kind for e in events] == ["instr", "post"]
-    with pytest.raises(ValueError):
-        TraceStore(tmp_path, fmt="csv")
+def test_garbage_file_raises_typed_with_path(tmp_path):
+    """Bytes that are not a trace IR blob at all (for example a
+    line-per-event text file) are a typed corruption, never a crash."""
+    path = tmp_path / "t.tir"
+    path.write_text('["trace_i32", [0, 1]]\nnot json at all\n')
+    with pytest.raises(TraceCorruption) as info:
+        read_trace_ir(path)
+    assert info.value.path == str(path)

@@ -3,6 +3,7 @@ backend's typed death, steal semantics, and a child-process node
 reached over real HTTP.
 """
 
+import json
 import time
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.service import (BackendUnavailable, HashRing,
                            InProcessBackend, NodePartitioned,
                            ProcessBackend, ScanService,
-                           ScanServiceConfig, module_hash_of)
+                           ScanServiceConfig, ServiceApi, module_hash_of)
 
 from .conftest import FAST_TIMEOUT_MS, contract_bytes
 
@@ -87,6 +88,27 @@ def test_inprocess_backend_round_trip():
         assert doc["state"] == "done" and doc.get("result")
         assert backend.health()["status"] in ("ok", "idle")
         assert backend.queue_depth() == 0
+    finally:
+        backend.stop()
+
+
+def test_inprocess_job_doc_equals_http_doc():
+    service = _service()
+    backend = InProcessBackend("n0", service)
+    api = ServiceApi(service)
+    backend.start()
+    try:
+        data, abi = contract_bytes(seed=0)
+        doc = backend.submit(data, abi, client="seam")
+        deadline = time.monotonic() + 60
+        while doc.get("state") not in ("done", "failed"):
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+            doc = backend.job(doc["id"])
+        assert doc["state"] == "done" and "verdict" in doc
+        status, http_doc = api.handle("GET", f"/scans/{doc['id']}")
+        assert status == 200
+        assert json.loads(json.dumps(doc)) == http_doc
     finally:
         backend.stop()
 

@@ -154,6 +154,21 @@ def test_steal_then_zombie_claim_is_discarded(fleet):
     assert fleet.stats()["jobs_stolen"] == 4
 
 
+def test_stolen_job_keeps_its_ttl(fleet):
+    # No workers: the jobs stay queued until the steal moves them.
+    victim = "n0"
+    seeds = _seeds_for(fleet, victim, 4, start=0)
+    docs = [fleet.submit(*_contract(seed), client="ttl", ttl_s=60.0)
+            for seed in seeds]
+    assert fleet.rebalance_once() == 4
+    for doc in docs:
+        record = fleet._jobs[doc["fleet_id"]]
+        assert record.node != victim
+        thief_job = fleet.backends[record.node].service.job(
+            record.node_job_id)
+        assert thief_job.ttl_s == 60.0
+
+
 # -- replication ------------------------------------------------------------
 
 def test_replica_rejoin_replays_a_truncated_journal(fleet):

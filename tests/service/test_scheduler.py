@@ -230,6 +230,50 @@ def test_drain_checkpoints_and_resume_replays_exactly_once(
         third.store.close()
 
 
+def test_resumed_checkpoint_keeps_its_ttl(tmp_path):
+    journal = CampaignJournal(tmp_path / "service.jsonl")
+    service = _service(tmp_path, journal=journal, start=False)
+    try:
+        data, abi = contract_bytes(seed=1)
+        service.submit_bytes(data, abi, client="c", ttl_s=60.0)
+        assert service.drain(wait_s=1) == 1
+    finally:
+        service.store.close()
+    resumed = _service(tmp_path, journal=journal, start=False)
+    try:
+        assert resumed.resume_from_journal() == 1
+        with resumed._lock:
+            (job,) = resumed._jobs.values()
+        assert job.ttl_s == 60.0
+    finally:
+        resumed.store.close()
+
+
+def test_resume_replays_a_checkpoint_without_recipe_ids(tmp_path):
+    """A pending doc holding only the original checkpoint keys (no
+    job id, scan key or TTL) still resumes."""
+    journal = CampaignJournal(tmp_path / "service.jsonl")
+    service = _service(tmp_path, journal=journal, start=False)
+    try:
+        data, abi = contract_bytes(seed=1)
+        module_hash = service.submit_bytes(data, abi,
+                                           client="c").job.module_hash
+    finally:
+        service.store.close()
+    journal.record("legacy-key", {"pending": {
+        "module_hash": module_hash, "abi": abi,
+        "config": {"timeout_ms": FAST_TIMEOUT_MS}, "client": "old",
+        "priority": 2}})
+    resumed = _service(tmp_path, journal=journal, start=False)
+    try:
+        assert resumed.resume_from_journal() == 1
+        with resumed._lock:
+            (job,) = resumed._jobs.values()
+        assert (job.client, job.priority, job.ttl_s) == ("old", 2, None)
+    finally:
+        resumed.store.close()
+
+
 def test_killed_worker_job_requeued_exactly_once(sample_contract):
     data, abi = sample_contract
     # The first worker to claim a job dies on the spot (a BaseException
