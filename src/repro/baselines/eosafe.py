@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from ..eosio.name import N
 from ..scanner.detectors import ScanResult, VulnerabilityFinding
 from ..wasm.module import Module
-from ..wasm.opcodes import Instr
 
 __all__ = ["EosafeAnalyzer", "EosafeResult"]
 

@@ -20,7 +20,6 @@ Differences from WASAI, reproduced deliberately:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from ..engine.clock import CostModel, VirtualClock
 from ..engine.deploy import FuzzTarget

@@ -23,7 +23,7 @@ unsatisfiable branch wrapper yields the non-vulnerable twins.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..eosio.abi import Abi, TRANSFER_SIGNATURE
 from ..eosio.asset import Asset

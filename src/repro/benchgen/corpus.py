@@ -17,7 +17,7 @@ following the paper's construction recipe:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..wasm.module import Module
 from .contracts import (ContractConfig, GeneratedContract, VULN_TYPES,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from ..eosio.abi import Abi
 from ..eosio.chain import Chain, WasmContract
-from ..eosio.name import N, Name
 from ..eosio.token import deploy_token, issue_to
 from ..instrument import SiteTable, instrument_module
 from ..resilience import faultinject

@@ -18,7 +18,7 @@ from itertools import cycle
 
 from ..eosio.chain import ActionRecord, Chain
 from ..eosio.name import Name, name_to_string
-from ..eosio.token import issue_to, token_balance
+from ..eosio.token import issue_to
 from ..instrument import decode_raw_trace
 from ..instrument.hooks import HookEvent
 from ..resilience import faultinject

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .name import Name
 from .serialize import SERIALIZABLE_TYPES, pack_values, unpack_values
 
 __all__ = ["AbiParam", "AbiAction", "Abi", "TRANSFER_SIGNATURE"]

@@ -24,8 +24,7 @@ from ..wasm.interpreter import (ExecutionLimits, HostFunc, Instance,
 from ..wasm.module import Module
 from .abi import Abi
 from .database import Database, DbOperation
-from .errors import (AssertionFailure, ChainError, MissingAuthorization,
-                     TransactionFailed, UnknownAccount)
+from .errors import ChainError, MissingAuthorization, UnknownAccount
 from .host import ContextCell, HostCall, build_host_imports
 from .name import Name, name_to_string
 from .serialize import Encoder

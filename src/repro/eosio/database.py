@@ -8,7 +8,7 @@ journalled so the Engine can build its database dependency graph
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Database", "DbOperation", "TableKey"]
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..wasm.interpreter import HostFunc, Instance, Trap
-from ..wasm.types import F32, F64, FuncType, I32, I64
+from ..wasm.interpreter import HostFunc, Instance
+from ..wasm.types import FuncType, I32, I64
 from .errors import AssertionFailure, MissingAuthorization
 from .serialize import Decoder
 

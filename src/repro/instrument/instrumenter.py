@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..wasm.module import Function, Import, Module
 from ..wasm.opcodes import Instr
-from ..wasm.types import FuncType, ValType
+from ..wasm.types import ValType
 from ..wasm.validation import InstructionTyping, type_function
 from .hooks import (BEGIN_FUNCTION, END_FUNCTION, HOOK_MODULE,
                     hook_func_type, post_hook_name, trace_hook_name)

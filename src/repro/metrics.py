@@ -10,8 +10,10 @@ is tracked across PRs via ``BENCH_throughput.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-__all__ = ["Confusion", "MetricsTable", "ThroughputStats", "percentile"]
+__all__ = ["Confusion", "MetricsTable", "ThroughputStats", "percentile",
+           "latency_summary"]
 
 
 def percentile(samples: "list[float]", q: float) -> float:
@@ -27,6 +29,23 @@ def percentile(samples: "list[float]", q: float) -> float:
     high = min(low + 1, len(ordered) - 1)
     fraction = rank - low
     return ordered[low] + (ordered[high] - ordered[low]) * fraction
+
+
+def latency_summary(samples: dict[str, Sequence[float]]
+                    ) -> dict[str, dict[str, float]]:
+    """p50/p95/max (plus sample count ``n``) per stage of ``samples``;
+    stages without samples are left out."""
+    out: dict[str, dict[str, float]] = {}
+    for stage, values in samples.items():
+        if not values:
+            continue
+        out[stage] = {
+            "n": len(values),
+            "p50_s": percentile(values, 50),
+            "p95_s": percentile(values, 95),
+            "max_s": max(values),
+        }
+    return out
 
 
 @dataclass
@@ -113,36 +132,10 @@ class ThroughputStats:
     # cold worker in an otherwise warm pool is invisible in the summed
     # counters but obvious here.
     per_worker: dict[int, dict[str, int]] = field(default_factory=dict)
-    # Self-healing ledger (scan-service daemon): how often the runtime
-    # had to repair itself.  Non-zero values are not errors — they are
-    # the healing machinery *working* — but a climbing rate is the
-    # operator's early-warning signal.
-    worker_restarts: int = 0       # watchdog reaps (died + hung)
-    breaker_trips: int = 0         # circuit breakers tripped open
-    breaker_recoveries: int = 0    # breakers closed again via a probe
-    integrity_repairs: int = 0     # store quarantine-and-rebuild runs
-    journal_compactions: int = 0   # journal compaction passes
-    # Trace-IR / re-verdict ledger (repro.traceir): durable trace packs
-    # written, scanner replays over them, and what those replays found.
-    traces_stored: int = 0         # trace-IR packs persisted
-    reverdicts: int = 0            # stored traces replayed by oracles
-    trace_corruptions: int = 0     # undecodable packs quarantined
-    verdict_drift: int = 0         # replay verdict != stored verdict
-    insufficient_surface: int = 0  # packs lacking a family's surface
     # Per-task wall-clock samples, keyed by stage ("task" = whole
-    # campaign task; "setup"/"fuzz"/"scan" = pipeline stages; the scan
-    # service adds "job" for end-to-end job latency).  Samples feed the
-    # p50/p95/max percentiles in ``wasai bench`` output and the
-    # daemon's ``GET /stats``.
+    # campaign task; "setup"/"fuzz"/"scan" = pipeline stages).  Samples
+    # feed the p50/p95/max percentiles in ``wasai bench`` output.
     latency_samples: dict[str, list[float]] = field(default_factory=dict)
-    # Overload ledger (scan-service daemon): every refusal and cut-off
-    # counted by *why* — "queue" / "inflight" / "deadline" / "quota" /
-    # "disk" / "brownout" / "draining" — plus the brownout pressure
-    # level active right now.  The per-kind split is what makes a 429
-    # storm diagnosable: a wall of "quota" sheds is a hot tenant, a
-    # wall of "brownout" sheds is the daemon protecting its SLO.
-    shed_by_kind: dict[str, int] = field(default_factory=dict)
-    pressure: str = "normal"
 
     @property
     def campaigns_per_sec(self) -> float:
@@ -206,26 +199,9 @@ class ThroughputStats:
         """Add one per-task wall-clock sample for ``stage``."""
         self.latency_samples.setdefault(stage, []).append(seconds)
 
-    def record_shed(self, kind: str) -> None:
-        """Count one shed/cut-off of the given kind."""
-        self.shed_by_kind[kind] = self.shed_by_kind.get(kind, 0) + 1
-
-    def shed_total(self) -> int:
-        return sum(self.shed_by_kind.values())
-
     def latency_percentiles(self) -> dict[str, dict[str, float]]:
         """p50/p95/max (plus sample count) per recorded stage."""
-        out: dict[str, dict[str, float]] = {}
-        for stage, samples in self.latency_samples.items():
-            if not samples:
-                continue
-            out[stage] = {
-                "n": len(samples),
-                "p50_s": percentile(samples, 50),
-                "p95_s": percentile(samples, 95),
-                "max_s": max(samples),
-            }
-        return out
+        return latency_summary(self.latency_samples)
 
     def as_dict(self) -> dict:
         return {
@@ -258,25 +234,6 @@ class ThroughputStats:
                 in sorted(self.per_worker_hit_rates().items())
             },
             "latency": self.latency_percentiles(),
-            "resilience": {
-                "worker_restarts": self.worker_restarts,
-                "breaker_trips": self.breaker_trips,
-                "breaker_recoveries": self.breaker_recoveries,
-                "integrity_repairs": self.integrity_repairs,
-                "journal_compactions": self.journal_compactions,
-            },
-            "traceir": {
-                "traces_stored": self.traces_stored,
-                "reverdicts": self.reverdicts,
-                "trace_corruptions": self.trace_corruptions,
-                "verdict_drift": self.verdict_drift,
-                "insufficient_surface": self.insufficient_surface,
-            },
-            "overload": {
-                "pressure": self.pressure,
-                "shed_by_kind": dict(sorted(self.shed_by_kind.items())),
-                "shed_total": self.shed_total(),
-            },
         }
 
     def format(self) -> str:
@@ -308,32 +265,6 @@ class ThroughputStats:
             lines.append(
                 f"  worker {worker_id:<7} {stats['tasks']} tasks, "
                 f"cache hit rate {stats['hit_rate']:.1%}")
-        healing = "".join(
-            f", {count} {label}" for count, label in
-            ((self.worker_restarts, "worker restarts"),
-             (self.breaker_trips, "breaker trips"),
-             (self.breaker_recoveries, "breaker recoveries"),
-             (self.integrity_repairs, "integrity repairs"),
-             (self.journal_compactions, "journal compactions"))
-            if count)
-        if healing:
-            lines.append(f"  self-healing  {healing.lstrip(', ')}")
-        traceir = "".join(
-            f", {count} {label}" for count, label in
-            ((self.traces_stored, "traces stored"),
-             (self.reverdicts, "reverdicts"),
-             (self.trace_corruptions, "trace corruptions"),
-             (self.verdict_drift, "verdict drift"),
-             (self.insufficient_surface, "insufficient surface"))
-            if count)
-        if traceir:
-            lines.append(f"  trace IR      {traceir.lstrip(', ')}")
-        if self.shed_by_kind or self.pressure != "normal":
-            sheds = ", ".join(
-                f"{count} {kind}" for kind, count in
-                sorted(self.shed_by_kind.items()) if count)
-            lines.append(f"  overload      pressure={self.pressure}"
-                         + (f", shed: {sheds}" if sheds else ""))
         for stage in sorted(self.stage_seconds):
             lines.append(f"  stage {stage:<8} "
                          f"{self.stage_seconds[stage]:8.2f}s")

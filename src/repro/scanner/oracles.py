@@ -24,9 +24,9 @@ from ..eosio.asset import Asset, EOS_SYMBOL
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.seeds import Seed
 from ..eosio.chain import Action, Chain, NativeContract
-from ..eosio.name import N, Name, name_to_string
+from ..eosio.name import N, Name
 from ..eosio.serialize import Encoder
-from ..eosio.token import TokenContract, deploy_token, issue_to
+from ..eosio.token import deploy_token, issue_to
 
 __all__ = ["ORACLE_VERSION", "PAYLOAD_KINDS", "AdversarySetup",
            "setup_adversaries", "build_payload", "ForwardingAgent"]

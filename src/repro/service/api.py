@@ -278,7 +278,7 @@ class ServiceApi:
             try:
                 tenant = self.tenants.admit(api_key)
             except QuotaExceeded:
-                self.service.perf.record_shed("quota")
+                self.service.record_shed("quota")
                 raise
         ttl_s = doc.get("ttl_s")
         try:

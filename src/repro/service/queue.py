@@ -270,9 +270,6 @@ class JobQueue:
         # priority -> client -> FIFO of jobs; clients rotate per get.
         self._bands: dict[int, "OrderedDict[str, deque[Job]]"] = {}
         self._depth = 0
-        self.shed = 0
-        self.expired = 0
-        self.deadline_expired = 0
         self.promoted = 0
 
     def __len__(self) -> int:
@@ -289,7 +286,6 @@ class JobQueue:
         must never be shed)."""
         with self._lock:
             if not force and self._depth >= self.max_depth:
-                self.shed += 1
                 raise QueueFull(
                     f"queue depth {self._depth} at limit "
                     f"{self.max_depth}", depth=self._depth,
@@ -351,13 +347,10 @@ class JobQueue:
                 keep: deque[Job] = deque()
                 stale: list[Job] = []
                 for job in jobs:
-                    if job.deadline_remaining_s(wall_now) <= 0.0:
+                    if job.deadline_remaining_s(wall_now) <= 0.0 \
+                            or (job.ttl_s is not None
+                                and now - job.queued_s >= job.ttl_s):
                         stale.append(job)
-                        self.deadline_expired += 1
-                    elif job.ttl_s is not None \
-                            and now - job.queued_s >= job.ttl_s:
-                        stale.append(job)
-                        self.expired += 1
                     else:
                         keep.append(job)
                 if stale:

@@ -74,13 +74,13 @@ import os
 import threading
 import time
 import uuid
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from ..eosio.abi import Abi
-from ..metrics import ThroughputStats
+from ..metrics import latency_summary
 from ..parallel.campaigns import CampaignTask, run_campaign_task
 from ..resilience import (CampaignJournal, MalformedModule, Quarantine,
                           ResiliencePolicy, WorkerKill,
@@ -97,7 +97,17 @@ from .store import ArtifactStore
 from .supervisor import WorkerRecord, WorkerSupervisor
 
 __all__ = ["ScanService", "ScanServiceConfig", "Submission",
-           "NodePartitioned", "DEFAULT_SCAN_CONFIG"]
+           "NodePartitioned", "DEFAULT_SCAN_CONFIG", "LATENCY_WINDOW"]
+
+# Most recent latency samples kept per stage for ``/stats``: the
+# percentiles describe recent traffic, and a long-lived daemon's
+# memory and ``stats()`` sort stay bounded.
+LATENCY_WINDOW = 1024
+
+# The 429 kinds that admission itself raises; ``/stats`` ``shed`` is
+# their sum.  Quota (tenant book), draining and deadline cuts are
+# counted per kind only.
+ADMISSION_SHEDS = ("queue", "inflight", "brownout", "disk")
 
 
 class NodePartitioned(Exception):
@@ -213,7 +223,6 @@ class ScanService:
             threshold=self.config.breaker_threshold,
             cooldown_s=self.config.breaker_cooldown_s)
         self.supervisor: WorkerSupervisor | None = None
-        self.perf = ThroughputStats(jobs=self.config.workers)
         self.overload = OverloadController(
             self.config.inflight_budget(), self.config.max_depth,
             target_p95_s=(self.config.target_p95_s
@@ -229,18 +238,11 @@ class ScanService:
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[str, Job] = {}   # scan_key -> live job
         self._running_jobs: set[str] = set()  # job ids claimed by workers
-        self._submissions = 0
-        self._cache_hits = 0
-        self._coalesce_hits = 0
-        self._admission_rejected = 0
-        # (from, to) -> count: every /stats lifecycle counter.
-        self._edges: Counter = Counter()
-        self._replay_served = 0       # brownout replay-serve hits
-        self._browned_out = 0         # jobs run with a shrunk budget
-        self._forced_blackbox = 0
-        self._store_recoveries = 0
-        self._steals = 0              # jobs donated to fleet peers
-        self._replica_applied = 0     # verdicts applied from peers
+        # Every /stats event count, written only by _count (service
+        # lock held): lifecycle edges keyed (from, to), admission sheds
+        # keyed ("shed", kind), everything else by event name.
+        self._ledger: Counter = Counter()
+        self._latency: dict[str, deque] = {}  # stage -> recent seconds
         self._storm = False
         self._accepting = True
         self._draining = False
@@ -254,7 +256,6 @@ class ScanService:
         self._auditor: threading.Thread | None = None
         self._auditor_stop = threading.Event()
         self._audit_cursor = 0
-        self._drift_audits = 0
         self._drift_incidents: list[dict] = []  # bounded, newest-last
 
     # -- lifecycle ---------------------------------------------------------
@@ -380,10 +381,8 @@ class ScanService:
         # Lock order: the service lock may already be held by this
         # thread (recovery can fire from inside admission); the heal
         # lock must therefore never wrap an acquisition of self._lock.
-        with self._lock:
-            self._store_recoveries += 1
+        self._count("store_recoveries")
         with self._heal_lock:
-            self.perf.integrity_repairs += 1
             old = self.store
             path = old.path
             try:
@@ -475,7 +474,7 @@ class ScanService:
             return 0
         with self._journal_lock:
             removed = self.journal.compact()
-        self.perf.journal_compactions += 1
+        self._count("journal_compactions")
         return removed
 
     # -- admission ---------------------------------------------------------
@@ -503,8 +502,7 @@ class ScanService:
             module = load_untrusted_module(data,
                                            budget=self.ingest_budget)
         except MalformedModule:
-            with self._lock:
-                self._admission_rejected += 1
+            self._count("admission_rejected")
             raise
         if isinstance(abi_json, dict):
             import json as _json
@@ -554,18 +552,18 @@ class ScanService:
                        submitted_s=time.time(), **fields)
 
         with self._lock:
-            self._submissions += 1
+            self._count("submissions")
             # Level 1: persistent store hit — serve the verdict now.
             result_doc = self._healed(
                 lambda: self.store.get_verdict(scan_key))
             if result_doc is not None:
-                self._cache_hits += 1
+                self._count("cache_hits")
                 return self._admit(new_job(), JobState.DONE, "cached",
                                    result_doc=result_doc)
             # Level 2: single-flight — attach to the live twin.
             twin = self._inflight.get(scan_key)
             if twin is not None and not twin.terminal:
-                self._coalesce_hits += 1
+                self._count("coalesce_hits")
                 twin.waiters += 1
                 return Submission(twin, "coalesced")
             # Caller deadline already passed: a fresh campaign budget
@@ -585,7 +583,7 @@ class ScanService:
             if level in ("saturated", "shedding"):
                 replay_doc = self._serve_from_replay_locked(scan_key)
                 if replay_doc is not None:
-                    self._replay_served += 1
+                    self._count("replay_served")
                     return self._admit(
                         new_job(deadline_epoch_s=deadline_epoch_s),
                         JobState.DONE, "replayed", result_doc=replay_doc)
@@ -634,7 +632,7 @@ class ScanService:
                     f"partition ({self._partition_reason or 'unknown'});"
                     " writes refused until the partition heals")
             if not self._accepting:
-                self.perf.record_shed("draining")
+                self.record_shed("draining")
                 raise QueueFull("service is draining",
                                 depth=self.queue.depth,
                                 limit=self.config.max_depth,
@@ -647,8 +645,7 @@ class ScanService:
               floor: float = 0.0) -> QueueFull:
         """Count one typed admission shed and build its 429 (service
         lock held)."""
-        self.queue.shed += 1
-        self.perf.record_shed(kind)
+        self.record_shed(kind)
         return QueueFull(message,
                          depth=self.queue.depth if depth is None else depth,
                          limit=limit, kind=kind,
@@ -660,7 +657,11 @@ class ScanService:
         held).  A queued job enters the queue first, so a typed
         :class:`QueueFull` leaves nothing behind."""
         if to is JobState.QUEUED:
-            self.queue.put(job)
+            try:
+                self.queue.put(job)
+            except QueueFull:
+                self.record_shed("queue")
+                raise
         self.transition(job, to, outcome=outcome, **effects)
         self._jobs[job.job_id] = job
         if to is JobState.QUEUED:
@@ -718,7 +719,7 @@ class ScanService:
         """
         self._admission_gate()
         with self._lock:
-            self._submissions += 1
+            self._count("submissions")
             job_id = uuid.uuid4().hex[:12]
             job = Job(job_id=job_id, client=client,
                       scan_key=f"reverdict:{job_id}", module_hash="",
@@ -785,13 +786,13 @@ class ScanService:
         level = self.overload.pressure
         job.brownout = None if level == "normal" else level
         if job.brownout is not None:
-            self._browned_out += 1
+            self._count("browned_out")
         scale = self.overload.timeout_scale()
         if level in ("saturated", "shedding"):
             degrade = Degradation(scale, blackbox=True, cacheable=False)
         else:
             forced = self.breakers.force_blackbox()
-            self._forced_blackbox += int(forced)
+            self._count("forced_blackbox", int(forced))
             degrade = Degradation(
                 scale, blackbox=forced,
                 cacheable=not forced and job.brownout is None)
@@ -865,7 +866,7 @@ class ScanService:
                             lambda t=trace_tool, b=blob:
                             self.store.put_trace(job.scan_key,
                                                  job.module_hash, t, b))
-                        self.perf.traces_stored += 1
+                        self._count("traces_stored")
             except StoreBudgetExceeded:
                 pass  # verdict still served from memory this once
             try:
@@ -945,13 +946,11 @@ class ScanService:
     def _absorb_reverdict(self, report, *, audit: bool = False) -> None:
         """Fold one sweep's outcome into counters + incident ledger."""
         with self._lock:
-            if audit:
-                self._drift_audits += 1
-            self.perf.reverdicts += report.replayed
-            self.perf.trace_corruptions += report.corrupt
-            self.perf.verdict_drift += report.drift
-            self.perf.insufficient_surface += getattr(
-                report, "insufficient", 0)
+            self._count("drift_audits", int(audit))
+            self._count("reverdicts", report.replayed)
+            self._count("trace_corruptions", report.corrupt)
+            self._count("verdict_drift", report.drift)
+            self._count("insufficient_surface", report.insufficient)
             self._drift_incidents.extend(report.incidents)
             del self._drift_incidents[:-32]   # bounded, newest kept
         for incident in report.incidents:
@@ -978,7 +977,6 @@ class ScanService:
         with self._lock:
             level = self.overload.update(self.queue.depth,
                                          len(self._running_jobs))
-            self.perf.pressure = level
         return {"swept": swept, "pressure": level}
 
     def _housekeeper_main(self) -> None:
@@ -1036,9 +1034,7 @@ class ScanService:
                     del self._inflight[job.scan_key]
                 if source is not JobState.NEW:  # was backlog
                     self.overload.observe_completion()
-            if to is JobState.DEADLINE_EXCEEDED:
-                self.perf.record_shed("deadline")
-            self._edges[source, to] += 1
+            self._count((source, to))
             return True
 
     def _fail(self, job: Job, message: str,
@@ -1080,7 +1076,6 @@ class ScanService:
         claim and requeue-or-quarantine the orphaned job exactly once."""
         job = record.job
         record.release_job()
-        self.perf.worker_restarts += 1
         if job is None:
             return
         with self._lock:
@@ -1130,8 +1125,7 @@ class ScanService:
             if stage:
                 failed_stages.add(stage)
         for stage in failed_stages:
-            if self.breakers.record_failure(stage):
-                self.perf.breaker_trips += 1
+            self.breakers.record_failure(stage)
         if not completed:
             return
         ran_full = not blackbox and not result.degraded
@@ -1140,28 +1134,27 @@ class ScanService:
                 continue
             if stage in BLACKBOX_GATED_STAGES and not ran_full:
                 continue
-            if self.breakers.record_success(stage):
-                self.perf.breaker_recoveries += 1
+            self.breakers.record_success(stage)
 
     def _record_latency(self, job: Job, result) -> None:
+        """Keep one finished job's latencies in the per-stage windows
+        (service lock held)."""
+        samples = dict(result.stage_seconds)
         if job.started_s and job.finished_s:
-            latency = job.finished_s - job.started_s
-            self.perf.record_latency("job", latency)
-            self.overload.observe_latency(latency)
-        for stage, seconds in result.stage_seconds.items():
-            self.perf.record_latency(stage, seconds)
-        self.perf.campaigns += len(result.scans)
-        self.perf.retries += result.retries
-        self.perf.add_stage_seconds(result.stage_seconds)
-        self.perf.add_cache_deltas(result.instr_cache_hits,
-                                   result.instr_cache_misses,
-                                   result.solver_cache_hits,
-                                   result.solver_cache_misses,
-                                   result.instr_disk_hits,
-                                   result.instr_disk_misses,
-                                   result.solver_disk_hits,
-                                   result.solver_disk_misses,
-                                   worker_id=result.worker_id or None)
+            samples["job"] = job.finished_s - job.started_s
+            self.overload.observe_latency(samples["job"])
+        for stage, seconds in samples.items():
+            self._latency.setdefault(
+                stage, deque(maxlen=LATENCY_WINDOW)).append(seconds)
+
+    def _count(self, event, n: int = 1) -> None:
+        """Add ``n`` to one ledger entry; the only ledger write."""
+        with self._lock:
+            self._ledger[event] += n
+
+    def record_shed(self, kind: str) -> None:
+        """Count one refused submission of the given 429 ``kind``."""
+        self._count(("shed", kind))
 
     # -- checkpoint / resume ----------------------------------------------
     def _checkpoint(self, job: Job) -> bool:
@@ -1248,7 +1241,7 @@ class ScanService:
                 min_headroom_s=self.overload.expected_job_s())
             recipes: list[dict] = []
             for job in jobs:
-                self._steals += 1
+                self._count("steals")
                 data = self._healed(
                     lambda h=job.module_hash: self.store.get_module(h))
                 if data is None:
@@ -1258,7 +1251,7 @@ class ScanService:
                     self.transition(job, JobState.FAILED,
                                     error="module bytes lost before steal")
                     continue
-                token = f"{thief}#{self._steals}"
+                token = f"{thief}#{self._ledger['steals']}"
                 self.transition(job, JobState.STOLEN, claim=token,
                                 outcome="stolen")
                 job.stolen_by = token
@@ -1331,9 +1324,7 @@ class ScanService:
             except StoreBudgetExceeded:
                 break
             applied += 1
-        if applied:
-            with self._lock:
-                self._replica_applied += applied
+        self._count("replica_applied", applied)
         return applied
 
     # -- health / stats ----------------------------------------------------
@@ -1369,74 +1360,93 @@ class ScanService:
                 "degraded" if self.breakers.open_stages() else "ok")
 
     def stats(self) -> dict:
+        """The ``GET /stats`` doc.  Every count is read from one
+        source: the ledger, the breakers or the supervisor; keys that
+        show the same event read the same entry."""
         with self._lock:
+            ledger = self._ledger
             states = Counter(job.state.value
                              for job in self._jobs.values())
             entered: Counter = Counter()
-            for (_, to), count in self._edges.items():
-                entered[to] += count
-            total = self._cache_hits + self._coalesce_hits
-            running = len(self._running_jobs)
+            shed_by_kind: dict[str, int] = {}
+            for key, count in ledger.items():
+                if isinstance(key, tuple) and count:
+                    if key[0] == "shed":
+                        shed_by_kind[key[1]] = count
+                    else:
+                        entered[key[1]] += count
+            deadline_cuts = entered[JobState.DEADLINE_EXCEEDED]
+            if deadline_cuts:
+                shed_by_kind["deadline"] = deadline_cuts
+            submissions = ledger["submissions"]
+            deduped = ledger["cache_hits"] + ledger["coalesce_hits"]
+            breakers = self.breakers.snapshot()
+            supervisor = (self.supervisor.stats()
+                          if self.supervisor is not None else None)
+            reaps = supervisor["reaps"] if supervisor else {}
             return {
                 "uptime_s": time.time() - self.started_s,
                 "queue_depth": self.queue.depth,
-                "running": running,
+                "running": len(self._running_jobs),
                 "inflight_budget": self.config.inflight_budget(),
                 "workers": self.config.workers,
                 "accepting": self._accepting and not self._partitioned,
                 "stale": self._partitioned,
                 "health": self._status_locked(),
-                "submissions": self._submissions,
+                "submissions": submissions,
                 "jobs": dict(states),
                 # Cache and replay hits (new -> done) are not runs.
-                "completed": self._edges[JobState.RUNNING,
-                                         JobState.DONE],
+                "completed": ledger[JobState.RUNNING, JobState.DONE],
                 "failed": entered[JobState.FAILED],
                 "quarantined": entered[JobState.QUARANTINED],
                 "expired": entered[JobState.EXPIRED],
-                "deadline_exceeded": entered[JobState.DEADLINE_EXCEEDED],
+                "deadline_exceeded": deadline_cuts,
                 "promoted": self.queue.promoted,
-                "admission_rejected": self._admission_rejected,
-                "shed": self.queue.shed,
-                "shed_by_kind": dict(self.perf.shed_by_kind),
+                "admission_rejected": ledger["admission_rejected"],
+                "shed": sum(shed_by_kind.get(kind, 0)
+                            for kind in ADMISSION_SHEDS),
+                "shed_by_kind": shed_by_kind,
                 "pressure": self.overload.pressure,
                 "overload": self.overload.snapshot(),
-                "replay_served": self._replay_served,
-                "browned_out": self._browned_out,
+                "replay_served": ledger["replay_served"],
+                "browned_out": ledger["browned_out"],
                 "fleet": {
-                    "stolen_away": self._steals,
-                    "replica_applied": self._replica_applied,
+                    "stolen_away": ledger["steals"],
+                    "replica_applied": ledger["replica_applied"],
                 },
                 "dedup": {
-                    "cache_hits": self._cache_hits,
-                    "coalesce_hits": self._coalesce_hits,
-                    "hit_rate": (total / self._submissions
-                                 if self._submissions else 0.0),
+                    "cache_hits": ledger["cache_hits"],
+                    "coalesce_hits": ledger["coalesce_hits"],
+                    "hit_rate": (deduped / submissions
+                                 if submissions else 0.0),
                 },
-                "breakers": self.breakers.snapshot(),
-                "supervisor": (self.supervisor.stats()
-                               if self.supervisor is not None else None),
+                "breakers": breakers,
+                "supervisor": supervisor,
                 "resilience": {
-                    "worker_restarts": self.perf.worker_restarts,
-                    "breaker_trips": self.perf.breaker_trips,
-                    "breaker_recoveries": self.perf.breaker_recoveries,
-                    "integrity_repairs": self.perf.integrity_repairs,
-                    "journal_compactions":
-                        self.perf.journal_compactions,
-                    "store_recoveries": self._store_recoveries,
-                    "forced_blackbox": self._forced_blackbox,
+                    "worker_restarts": sum(reaps.values()),
+                    "breaker_trips": sum(breaker["trips"] for breaker
+                                         in breakers.values()),
+                    "breaker_recoveries": sum(
+                        breaker["recoveries"]
+                        for breaker in breakers.values()),
+                    # One event, the quarantine-and-rebuild of the
+                    # store, shown under both of its historical names.
+                    "integrity_repairs": ledger["store_recoveries"],
+                    "journal_compactions": ledger["journal_compactions"],
+                    "store_recoveries": ledger["store_recoveries"],
+                    "forced_blackbox": ledger["forced_blackbox"],
                 },
                 "traceir": {
-                    "traces_stored": self.perf.traces_stored,
-                    "reverdicts": self.perf.reverdicts,
-                    "trace_corruptions": self.perf.trace_corruptions,
-                    "verdict_drift": self.perf.verdict_drift,
+                    "traces_stored": ledger["traces_stored"],
+                    "reverdicts": ledger["reverdicts"],
+                    "trace_corruptions": ledger["trace_corruptions"],
+                    "verdict_drift": ledger["verdict_drift"],
                     "insufficient_surface":
-                        self.perf.insufficient_surface,
-                    "drift_audits": self._drift_audits,
+                        ledger["insufficient_surface"],
+                    "drift_audits": ledger["drift_audits"],
                     "drift_incidents":
                         list(self._drift_incidents[-8:]),
                 },
-                "latency": self.perf.latency_percentiles(),
+                "latency": latency_summary(self._latency),
                 "store": self.store.counts(),
             }

@@ -10,7 +10,7 @@ per query.
 
 from __future__ import annotations
 
-from .terms import Term, mask, to_signed, to_unsigned
+from .terms import mask, to_signed, to_unsigned
 
 __all__ = ["Interval", "propagate_comparison"]
 

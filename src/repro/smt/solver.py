@@ -27,7 +27,7 @@ from ..sharedcache import SharedDiskCache
 from .bitblast import BitBlaster
 from .interval import Interval, propagate_comparison
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
-from .terms import (FALSE, TRUE, Term, evaluate, free_variables, mask)
+from .terms import FALSE, TRUE, Term, evaluate, free_variables
 
 __all__ = ["Solver", "Model", "SolverStats", "SolverCache", "solver_cache",
            "configure_solver_cache", "constraint_digest",

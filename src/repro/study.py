@@ -8,11 +8,9 @@ by ``benchmarks/test_rq4_wild.py`` and ``examples/wild_study.py``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .benchgen.corpus import WildContract, build_wild_corpus
-from .metrics import ThroughputStats
 from .parallel import CampaignTask, run_campaign_task
 from .resilience import ResiliencePolicy, run_resilient_tasks
 from .scanner import ScanResult, VULN_TITLES
@@ -75,7 +73,6 @@ def run_wild_study(scale: float = 0.05, timeout_ms: float = 20_000.0,
                    seed: int = 991, rng_base: int = 3000,
                    address_pool: bool = False, jobs: int = 1,
                    task_timeout_s: float | None = None,
-                   perf: ThroughputStats | None = None,
                    policy: ResiliencePolicy | None = None,
                    journal: "str | None" = None,
                    resume: bool = False) -> WildStudyResult:
@@ -98,11 +95,9 @@ def run_wild_study(scale: float = 0.05, timeout_ms: float = 20_000.0,
                           address_pool=address_pool, policy=policy,
                           sample_key=f"wild[{index}]")
              for index, entry in enumerate(corpus)]
-    wall_started = time.perf_counter()
     run = run_resilient_tasks(run_campaign_task, tasks, jobs=jobs,
                               timeout_s=task_timeout_s, policy=policy,
                               journal=journal, resume=resume)
-    wall_s = time.perf_counter() - wall_started
     scans = []
     skipped: list[tuple[str, str]] = []
     divergent: list[tuple[str, str]] = []
@@ -124,22 +119,6 @@ def run_wild_study(scale: float = 0.05, timeout_ms: float = 20_000.0,
             scans.append((entry, ScanResult(target_account=0)))
             continue
         scans.append((entry, scan))
-    if perf is not None:
-        perf.jobs = jobs
-        perf.wall_s += wall_s
-        perf.failures += run.failed_attempts
-        perf.retries += run.retries
-        perf.quarantined += len(run.quarantine.quarantined())
-        for index, result in enumerate(run.results):
-            if not result.ok or index in run.reused_indices:
-                continue
-            perf.campaigns += 1
-            perf.retries += result.value.retries
-            perf.add_stage_seconds(result.value.stage_seconds)
-            perf.add_cache_deltas(result.value.instr_cache_hits,
-                                  result.value.instr_cache_misses,
-                                  result.value.solver_cache_hits,
-                                  result.value.solver_cache_misses)
     return WildStudyResult(len(corpus), scans, skipped=skipped,
                            divergent=divergent)
 

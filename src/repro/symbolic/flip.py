@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..smt import And, SAT, Solver, SolverStats, Term, free_variables
+from ..smt import SAT, Solver, SolverStats, Term, free_variables
 from .calling import SeedLayout
 from .simulate import BranchRecord, ReplayResult
 

@@ -25,12 +25,12 @@ from ..instrument.instrumenter import Site, SiteTable
 from ..resilience import faultinject
 from ..resilience.errors import (CampaignError, DivergenceError,
                                  SymbackError)
-from ..smt import (BitVec, BitVecVal, Clz, Concat, Ctz, Eq, Extract, Ite, Ne,
-                   Not, Popcnt, Rotl, Rotr, SDiv, SGE, SGT, SLE, SLT, SRem,
-                   SignExt, Term, UDiv, UGE, UGT, ULE, ULT, URem, ZeroExt,
-                   AShr, to_signed)
+from ..smt import (BitVecVal, Clz, Ctz, Eq, Extract, Ite, Ne, Not, Popcnt,
+                   Rotl, Rotr, SDiv, SGE, SGT, SLE, SLT, SRem, SignExt,
+                   Term, UDiv, UGE, UGT, ULE, ULT, URem, ZeroExt, AShr,
+                   to_signed)
 from ..wasm.module import Module
-from ..wasm.opcodes import Instr, is_load, is_store, memory_access_size
+from ..wasm.opcodes import memory_access_size
 from .calling import SeedLayout
 from .machine import Frame, MachineState, concrete_value
 

@@ -20,7 +20,6 @@ inherits the codec's guarantee — any defect is a typed
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 from ..resilience.errors import TraceCorruption

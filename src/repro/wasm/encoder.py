@@ -5,8 +5,7 @@ from __future__ import annotations
 import struct
 
 from .leb128 import encode_signed, encode_unsigned
-from .module import (DataSegment, Element, Export, Function, Global, Import,
-                     Module)
+from .module import Module
 from .opcodes import OPCODES, Instr
 from .types import FuncType, GlobalType, Limits, MemoryType, TableType, ValType
 

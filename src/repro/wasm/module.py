@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .opcodes import Instr
-from .types import FuncType, GlobalType, Limits, MemoryType, TableType, ValType
+from .types import FuncType, GlobalType, MemoryType, TableType, ValType
 
 __all__ = ["Module", "Import", "Export", "Function", "Global", "Element",
            "DataSegment", "PAGE_SIZE"]

@@ -42,8 +42,8 @@ import time as _time
 from collections import OrderedDict
 
 from .interpreter import (MASK32, MASK64, _SIMPLE_OPS, _ControlEntry,
-                          _build_jump_table, _f32, _signed, Trap,
-                          TrapDeadline, TrapIndirectCall, TrapOutOfFuel,
+                          _build_jump_table, _f32, _signed, TrapDeadline,
+                          TrapIndirectCall, TrapOutOfFuel,
                           TrapUnreachable)
 from .module import Function, Module
 from .opcodes import memory_access_size

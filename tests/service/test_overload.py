@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from repro.metrics import ThroughputStats
 from repro.resilience import CampaignJournal, Fault, install_fault_plan
 from repro.service import ScanService, ScanServiceConfig, ServiceApi
 from repro.service.overload import SHED_KINDS, OverloadController
@@ -172,9 +171,6 @@ def test_idle_queue_sweep_expires_without_a_get():
     wall.advance(2.5)                   # the deadline on the wall clock
     assert queue.sweep_expired() == 2   # no get() ever happened
     assert {job.job_id for job in reaped} == {"ttl", "dead"}
-    # The two staleness kinds are book-kept separately.
-    assert queue.expired == 1
-    assert queue.deadline_expired == 1
     assert queue.depth == 1
 
 
@@ -491,17 +487,3 @@ def test_unparseable_deadline_header_is_a_400():
         api.service.stop(wait_s=1)
 
 
-# -- the books: per-kind shed counters in perf ------------------------------
-
-def test_throughput_stats_counts_sheds_per_kind():
-    stats = ThroughputStats(jobs=1)
-    for kind in ("queue", "queue", "deadline", "brownout"):
-        stats.record_shed(kind)
-    assert stats.shed_by_kind["queue"] == 2
-    assert stats.shed_total() == 4
-    stats.pressure = "elevated"
-    doc = stats.as_dict()
-    assert doc["overload"]["shed_by_kind"]["deadline"] == 1
-    assert doc["overload"]["pressure"] == "elevated"
-    rendered = stats.format()
-    assert "shed" in rendered and "elevated" in rendered

@@ -43,7 +43,6 @@ def test_bounded_depth_sheds_with_typed_rejection():
     assert excinfo.value.kind == "queue"
     assert excinfo.value.depth == 2
     assert excinfo.value.limit == 2
-    assert queue.shed == 1
     # Containment re-queues bypass the bound — retries are never shed.
     queue.put(_job(n=4), force=True)
     assert len(queue) == 3
@@ -117,7 +116,6 @@ def test_ttl_expires_stale_jobs_via_callback():
     # callback and never handed to a worker.
     assert queue.get(timeout=0) is durable
     assert expired == [stale]
-    assert queue.expired == 1
     assert len(queue) == 0
 
 
